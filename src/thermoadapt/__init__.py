@@ -33,17 +33,13 @@ from .network import (
     swish_prime,
     swish_second,
 )
-from .numerics import RandomSource, finite_diff_jacobian, rms_over_log, wiener_increment
+from .numerics import RandomSource, finite_diff_jacobian, wiener_increment
 from .plant import (
     STATE_DIM,
     X0_DEFAULT,
-    DesiredTrajectory,
-    PlantModel,
-    SingularEffectivenessError,
     control_input,
     desired,
     plant_drift,
-    right_pseudo_inverse,
     tracking_error,
 )
 from .projection import ConvexBall, Membership, ProjectionDomainError
@@ -53,12 +49,9 @@ from .sim import (
     LATE_WINDOW,
     DivergenceError,
     MetricsReport,
-    SimState,
     TrajectoryLog,
-    evaluate_state,
     metrics,
     run,
-    step,
     write_csv,
 )
 from .thermo import (

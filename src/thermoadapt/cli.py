@@ -31,7 +31,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .config import SCENARIO_NAMES, ExperimentConfig
-from .network import Network, he_init
+from .network import Network
 from .numerics import RandomSource
 from .sim import DivergenceError, metrics, run as run_scenario, write_csv
 
@@ -56,18 +56,6 @@ class ConfigError(ValueError):
 
 # ---------------------------------------------------------------------------
 # Config file parsing
-
-
-def _parse_float(text: str) -> float:
-    return float(text)
-
-
-def _parse_int(text: str) -> int:
-    return int(text)
-
-
-def _parse_str(text: str) -> str:
-    return text.strip()
 
 
 def _parse_scenarios(text: str) -> tuple[str, ...]:
@@ -102,30 +90,30 @@ def _parse_state(text: str) -> tuple[float, ...]:
 
 # (section, key) -> (ExperimentConfig field, parser)
 _SCHEMA = {
-    ("experiment", "horizon"): ("horizon", _parse_float),
-    ("experiment", "dt"): ("dt", _parse_float),
+    ("experiment", "horizon"): ("horizon", float),
+    ("experiment", "dt"): ("dt", float),
     ("experiment", "scenarios"): ("scenarios", _parse_scenarios),
     ("experiment", "seeds"): ("seeds", parse_seed_spec),
-    ("experiment", "init_seed"): ("init_seed", _parse_int),
+    ("experiment", "init_seed"): ("init_seed", int),
     ("experiment", "initial_state"): ("initial_state", _parse_state),
-    ("experiment", "output_dir"): ("output_dir", _parse_str),
-    ("experiment", "log_stride"): ("log_stride", _parse_int),
-    ("gains", "learning_rate"): ("learning_rate", _parse_float),
-    ("gains", "forgetting_factor"): ("forgetting_factor", _parse_float),
-    ("gains", "diffusion_gain"): ("diffusion_gain", _parse_float),
-    ("gains", "control_gain"): ("control_gain", _parse_float),
-    ("network", "hidden_layers"): ("hidden_layers", _parse_int),
-    ("network", "hidden_width"): ("hidden_width", _parse_int),
-    ("network", "activation"): ("activation", _parse_str),
-    ("ball", "radius"): ("ball_radius", _parse_float),
-    ("ball", "layer"): ("ball_layer", _parse_float),
-    ("temperature", "scale"): ("temp_scale", _parse_float),
-    ("temperature", "quad_weight"): ("temp_quad_weight", _parse_float),
-    ("offtrajectory", "count"): ("offtraj_count", _parse_int),
-    ("offtrajectory", "low"): ("offtraj_low", _parse_float),
-    ("offtrajectory", "high"): ("offtraj_high", _parse_float),
-    ("offtrajectory", "seed"): ("offtraj_seed", _parse_int),
-    ("lyapunov", "reference"): ("lyapunov_reference", _parse_str),
+    ("experiment", "output_dir"): ("output_dir", str.strip),
+    ("experiment", "log_stride"): ("log_stride", int),
+    ("gains", "learning_rate"): ("learning_rate", float),
+    ("gains", "forgetting_factor"): ("forgetting_factor", float),
+    ("gains", "diffusion_gain"): ("diffusion_gain", float),
+    ("gains", "control_gain"): ("control_gain", float),
+    ("network", "hidden_layers"): ("hidden_layers", int),
+    ("network", "hidden_width"): ("hidden_width", int),
+    ("network", "activation"): ("activation", str.strip),
+    ("ball", "radius"): ("ball_radius", float),
+    ("ball", "layer"): ("ball_layer", float),
+    ("temperature", "scale"): ("temp_scale", float),
+    ("temperature", "quad_weight"): ("temp_quad_weight", float),
+    ("offtrajectory", "count"): ("offtraj_count", int),
+    ("offtrajectory", "low"): ("offtraj_low", float),
+    ("offtrajectory", "high"): ("offtraj_high", float),
+    ("offtrajectory", "seed"): ("offtraj_seed", int),
+    ("lyapunov", "reference"): ("lyapunov_reference", str.strip),
 }
 
 _KNOWN_SECTIONS = {section for section, _ in _SCHEMA}
@@ -201,12 +189,12 @@ def _execute_run(payload) -> RunResult:
             rms_error=float("nan"),
             rms_func_err=float("nan"),
             off_traj_rms=float("nan"),
-            clip_count=partial.clip_count if partial else 0,
-            sup_state_norm=partial.sup_state_norm if partial else float("nan"),
-            sup_error_norm=partial.sup_error_norm if partial else float("nan"),
+            clip_count=partial.clip_count,
+            sup_state_norm=partial.sup_state_norm,
+            sup_error_norm=partial.sup_error_norm,
             temp_mean_early=float("nan"),
             temp_mean_late=float("nan"),
-            max_boundary_value=partial.max_boundary_value if partial else float("nan"),
+            max_boundary_value=partial.max_boundary_value,
         )
     net_final = Network(config.network_shape(), log.final_theta)
     report = metrics(
@@ -247,7 +235,7 @@ def resolve_theta_ref(config: ExperimentConfig) -> Optional[np.ndarray]:
     if mode == "zero":
         return None
     if mode == "initial":
-        return he_init(config.network_shape(), RandomSource(config.init_seed)).theta
+        return config.initial_theta()
     ref_log = run_scenario(config, "S1", config.seeds[0], theta_ref=None)
     return ref_log.final_theta
 
@@ -369,6 +357,34 @@ def build_summary(results: Sequence[RunResult], scenario_order: Sequence[str]) -
 _SUMMARY_FIELDS = [f.name for f in fields(ScenarioSummary)]
 
 
+def _record(obj) -> dict:
+    """A dataclass instance as a JSON-ready dict, with NaN written as null."""
+    rec = {f.name: getattr(obj, f.name) for f in fields(obj)}
+    return {k: (None if isinstance(v, float) and math.isnan(v) else v)
+            for k, v in rec.items()}
+
+
+# Converters for field annotations other than plain strings.
+_FIELD_PARSERS = {"int": int, "bool": bool, "float": float, "Optional[float]": float}
+
+
+def _from_record(cls, rec: dict):
+    """Inverse of :func:`_record`; also reads the text of a summary CSV row.
+
+    A null or empty value reads as NaN for a ``float`` field and as None
+    for any other.
+    """
+    kwargs = {}
+    for f in fields(cls):
+        v = rec[f.name]
+        if v is None or v == "":
+            v = float("nan") if f.type == "float" else None
+        elif f.type in _FIELD_PARSERS:
+            v = _FIELD_PARSERS[f.type](v)
+        kwargs[f.name] = v
+    return cls(**kwargs)
+
+
 def _fmt_opt(value: Optional[float], fmt: str = ".17g") -> str:
     return "" if value is None else format(value, fmt)
 
@@ -417,10 +433,7 @@ def print_summary(table: SummaryTable, fmt: str = "text") -> str:
     if fmt == "jsonl":
         lines = []
         for r in table.rows:
-            record = {name: getattr(r, name) for name in _SUMMARY_FIELDS}
-            record = {k: (None if isinstance(v, float) and math.isnan(v) else v)
-                      for k, v in record.items()}
-            lines.append(json.dumps(record, sort_keys=True))
+            lines.append(json.dumps(_record(r), sort_keys=True))
         return "\n".join(lines) + "\n"
     raise ValueError(f"unknown summary format {fmt!r}")
 
@@ -430,66 +443,13 @@ def summary_from_csv(text: str) -> SummaryTable:
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines or lines[0].split(",") != _SUMMARY_FIELDS:
         raise ValueError("not a summary CSV")
-    rows = []
-    for ln in lines[1:]:
-        parts = ln.split(",")
-        kwargs = {}
-        for name, raw in zip(_SUMMARY_FIELDS, parts):
-            if name == "scenario":
-                kwargs[name] = raw
-            elif name in ("runs", "diverged"):
-                kwargs[name] = int(raw)
-            elif name.startswith("improvement"):
-                kwargs[name] = None if raw == "" else float(raw)
-            else:
-                kwargs[name] = float(raw) if raw != "" else float("nan")
-        rows.append(ScenarioSummary(**kwargs))
+    rows = [_from_record(ScenarioSummary, dict(zip(_SUMMARY_FIELDS, ln.split(","))))
+            for ln in lines[1:]]
     return SummaryTable(rows=tuple(rows))
 
 
 # ---------------------------------------------------------------------------
 # Experiment driver
-
-
-def _result_record(r: RunResult) -> dict:
-    rec = {
-        "scenario": r.scenario,
-        "seed": r.seed,
-        "diverged": r.diverged,
-        "error": r.error,
-        "rms_error": r.rms_error,
-        "rms_func_err": r.rms_func_err,
-        "off_traj_rms": r.off_traj_rms,
-        "clip_count": r.clip_count,
-        "sup_state_norm": r.sup_state_norm,
-        "sup_error_norm": r.sup_error_norm,
-        "temp_mean_early": r.temp_mean_early,
-        "temp_mean_late": r.temp_mean_late,
-        "max_boundary_value": r.max_boundary_value,
-    }
-    return {k: (None if isinstance(v, float) and math.isnan(v) else v)
-            for k, v in rec.items()}
-
-
-def _result_from_record(rec: dict) -> RunResult:
-    def num(v):
-        return float("nan") if v is None else float(v)
-
-    return RunResult(
-        scenario=rec["scenario"],
-        seed=int(rec["seed"]),
-        diverged=bool(rec["diverged"]),
-        error=rec.get("error"),
-        rms_error=num(rec["rms_error"]),
-        rms_func_err=num(rec["rms_func_err"]),
-        off_traj_rms=num(rec["off_traj_rms"]),
-        clip_count=int(rec["clip_count"]),
-        sup_state_norm=num(rec["sup_state_norm"]),
-        sup_error_norm=num(rec["sup_error_norm"]),
-        temp_mean_early=num(rec["temp_mean_early"]),
-        temp_mean_late=num(rec["temp_mean_late"]),
-        max_boundary_value=num(rec["max_boundary_value"]),
-    )
 
 
 def run_experiment(
@@ -515,15 +475,10 @@ def run_experiment(
     )
     with open(out_dir / "runs.jsonl", "w", encoding="ascii") as fh:
         for r in results:
-            fh.write(json.dumps(_result_record(r), sort_keys=True) + "\n")
+            fh.write(json.dumps(_record(r), sort_keys=True) + "\n")
     table = build_summary(results, config.scenarios)
     with open(out_dir / "summary.json", "w", encoding="ascii") as fh:
-        rows = []
-        for row in table.rows:
-            rec = {name: getattr(row, name) for name in _SUMMARY_FIELDS}
-            rec = {k: (None if isinstance(v, float) and math.isnan(v) else v)
-                   for k, v in rec.items()}
-            rows.append(rec)
+        rows = [_record(row) for row in table.rows]
         fh.write(json.dumps({"scenarios": rows}, sort_keys=True, indent=2) + "\n")
     with open(out_dir / "summary.txt", "w", encoding="ascii") as fh:
         fh.write(print_summary(table, "text"))
@@ -537,7 +492,7 @@ def load_results(out_dir) -> list[RunResult]:
     with open(path, "r", encoding="ascii") as fh:
         for line in fh:
             if line.strip():
-                results.append(_result_from_record(json.loads(line)))
+                results.append(_from_record(RunResult, json.loads(line)))
     return results
 
 
@@ -578,15 +533,6 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
 
-    if args.command == "validate":
-        try:
-            config = load_config(args.config)
-        except ConfigError as exc:
-            print(f"config error: {exc}", file=sys.stderr)
-            return 2
-        print(f"config ok: {config}")
-        return 0
-
     if args.command == "summarize":
         try:
             results = load_results(args.in_dir)
@@ -599,9 +545,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         sys.stdout.write(print_summary(table, args.format))
         return 0
 
-    # run
+    # validate and run
     try:
         config = load_config(args.config) if args.config else ExperimentConfig()
+        if args.command == "validate":
+            print(f"config ok: {config}")
+            return 0
         overrides = {}
         if args.scenarios:
             overrides["scenarios"] = _parse_scenarios(args.scenarios)

@@ -13,9 +13,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .network import ACTIVATIONS, NetworkShape
+from .network import NetworkShape, he_init
+from .numerics import RandomSource
 from .plant import STATE_DIM, X0_DEFAULT
-from .projection import ConvexBall
+from .projection import ConvexBall, Membership
 from .thermo import Gains, TemperatureLaw
 
 __all__ = ["ExperimentConfig", "SCENARIO_NAMES", "SCENARIO_LAWS"]
@@ -82,26 +83,10 @@ class ExperimentConfig:
             raise ValueError(
                 f"initial_state needs {STATE_DIM} entries, got {len(self.initial_state)}"
             )
-        if self.learning_rate <= 0.0:
-            raise ValueError(f"learning_rate must be positive, got {self.learning_rate}")
-        if self.forgetting_factor <= 0.0:
-            raise ValueError(
-                f"forgetting_factor must be positive, got {self.forgetting_factor}"
-            )
-        if self.diffusion_gain < 0.0:
-            raise ValueError(
-                f"diffusion_gain must be nonnegative, got {self.diffusion_gain}"
-            )
-        if self.control_gain <= 0.0:
-            raise ValueError(f"control_gain must be positive, got {self.control_gain}")
         if self.hidden_layers < 0:
             raise ValueError(f"hidden_layers must be >= 0, got {self.hidden_layers}")
         if self.hidden_width < 1:
             raise ValueError(f"hidden_width must be >= 1, got {self.hidden_width}")
-        if self.activation not in ACTIVATIONS:
-            raise ValueError(f"unknown activation {self.activation!r}")
-        if self.ball_radius <= 0.0 or self.ball_layer <= 0.0:
-            raise ValueError("ball radius and layer must be positive")
         if self.temp_scale <= 0.0:
             raise ValueError(f"temp_scale must be positive, got {self.temp_scale}")
         if self.temp_quad_weight < 0.0:
@@ -118,6 +103,17 @@ class ExperimentConfig:
             raise ValueError(
                 f"lyapunov_reference must be deterministic/initial/zero, "
                 f"got {self.lyapunov_reference!r}"
+            )
+        # The components check their own parameters; S2 has exploration on,
+        # so its gains include the configured diffusion gain.
+        self.gains_for("S2")
+        ball = self.ball()
+        theta0 = self.initial_theta()
+        if ball.classify(theta0) is Membership.OUTSIDE:
+            raise ValueError(
+                f"ball radius {self.ball_radius:g} (layer {self.ball_layer:g}) does not "
+                f"contain the initial weights, whose norm is "
+                f"{np.linalg.norm(theta0):.2f}"
             )
 
     # Derived pieces -------------------------------------------------------
@@ -148,6 +144,10 @@ class ExperimentConfig:
         return TemperatureLaw(
             kind=kind, scale=self.temp_scale, quad_weight=self.temp_quad_weight
         )
+
+    def initial_theta(self) -> np.ndarray:
+        """He-initialised weights shared by every run of the experiment."""
+        return he_init(self.network_shape(), RandomSource(self.init_seed)).theta
 
     def x0(self) -> np.ndarray:
         return np.asarray(self.initial_state, dtype=float)

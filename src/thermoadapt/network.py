@@ -223,13 +223,17 @@ class Network:
             for (a, b), shape in zip(self.shape.segments, self.shape.matrix_shapes)
         ]
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        """Evaluate the network at input ``x``."""
+    def _check_input(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         if x.shape != (self.shape.input_size,):
             raise ValueError(
                 f"input has shape {x.shape}, expected ({self.shape.input_size},)"
             )
+        return x
+
+    def forward(self, x: np.ndarray) -> np.ndarray:
+        """Evaluate the network at input ``x``."""
+        x = self._check_input(x)
         act = ACTIVATIONS[self.shape.activation][0]
         mats = self.weight_matrices()
         u = np.append(x, 1.0)
@@ -242,47 +246,25 @@ class Network:
     def weight_jacobian(self, x: np.ndarray) -> np.ndarray:
         """Jacobian of the output with respect to the flat weight vector.
 
-        Blocks are ordered like the weight layout, one block per layer. The
-        bias entry of each augmented layer has zero derivative, so each
-        activation Jacobian is the diagonal of slopes above a zero row; that
-        zero row drops out of the chained products used here.
+        Blocks are ordered like the weight layout, one block per layer.
+        Computed by :class:`NetworkEvaluator`, the path the simulator runs.
         """
-        x = np.asarray(x, dtype=float)
-        if x.shape != (self.shape.input_size,):
-            raise ValueError(
-                f"input has shape {x.shape}, expected ({self.shape.input_size},)"
-            )
-        act, act_prime, _ = ACTIVATIONS[self.shape.activation]
-        mats = self.weight_matrices()
-        k = self.shape.hidden_layer_count
-
-        # Forward pass, caching augmented layer inputs and activation slopes.
-        inputs = [np.append(x, 1.0)]
-        slopes = []
-        h = mats[0].T @ inputs[0]
-        for v in mats[1:]:
-            slopes.append(act_prime(h))
-            inputs.append(np.append(act(h), 1.0))
-            h = v.T @ inputs[-1]
-
-        # Reverse sweep: prefix[j] maps layer-j post-weights onto the output.
-        out_size = self.shape.output_size
-        blocks: list[np.ndarray] = [np.empty(0)] * (k + 1)
-        prefix = np.eye(out_size)
-        blocks[k] = np.kron(prefix, inputs[k][None, :])
-        for j in range(k - 1, -1, -1):
-            prefix = prefix @ (mats[j + 1][:-1, :].T * slopes[j][None, :])
-            blocks[j] = np.kron(prefix, inputs[j][None, :])
-        return np.concatenate(blocks, axis=1)
+        return NetworkEvaluator(self.shape).evaluate(self.theta, self._check_input(x))[1]
 
 
 class NetworkEvaluator:
     """Reusable forward+Jacobian evaluator with preallocated buffers.
 
-    Produces the same numbers as ``Network.forward`` / ``weight_jacobian``
-    but avoids per-call allocation, for use in tight integration loops. The
-    arrays returned by :meth:`evaluate` are views into internal buffers and
-    are overwritten by the next call; copy them to persist.
+    Produces the same output as ``Network.forward`` and is the one
+    implementation of the weight Jacobian. It avoids per-call allocation,
+    for use in tight integration loops. The arrays returned by
+    :meth:`evaluate` are views into internal buffers and are overwritten by
+    the next call; copy them to persist.
+
+    The Jacobian comes from a reverse sweep over the layers. The bias entry
+    of each augmented layer has zero derivative, so each activation
+    Jacobian is the diagonal of slopes above a zero row; that zero row drops
+    out of the chained products.
     """
 
     def __init__(self, shape: NetworkShape):

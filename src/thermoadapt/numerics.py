@@ -15,7 +15,6 @@ import numpy as np
 __all__ = [
     "RandomSource",
     "wiener_increment",
-    "rms_over_log",
     "finite_diff_jacobian",
 ]
 
@@ -61,20 +60,6 @@ def wiener_increment(rng: RandomSource, p: int, dt: float) -> np.ndarray:
     if p < 1:
         raise ValueError(f"dimension must be >= 1, got {p}")
     return rng.standard_normal(p) * np.sqrt(dt)
-
-
-def rms_over_log(samples) -> float:
-    """Root-mean-square Euclidean norm over a sequence of vectors.
-
-    Accepts a sequence of 1-D arrays or a single 2-D array (rows are
-    samples). Raises on an empty sequence.
-    """
-    arr = np.asarray(samples, dtype=float)
-    if arr.size == 0:
-        raise ValueError("rms_over_log requires at least one sample")
-    if arr.ndim == 1:
-        arr = arr[None, :]
-    return float(np.sqrt(np.mean(np.sum(arr * arr, axis=1))))
 
 
 def finite_diff_jacobian(

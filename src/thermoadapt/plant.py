@@ -8,34 +8,22 @@ alone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Optional
-
 import numpy as np
 
-from .network import Network
-from .thermo import Gains, TemperatureLaw
+from .thermo import Gains
 
 __all__ = [
     "STATE_DIM",
     "X0_DEFAULT",
-    "PlantModel",
-    "DesiredTrajectory",
-    "SingularEffectivenessError",
     "plant_drift",
     "desired",
     "tracking_error",
-    "right_pseudo_inverse",
     "control_input",
 ]
 
 STATE_DIM = 5
 
 X0_DEFAULT = np.array([0.0, -1.0, 3.0, -3.0, 3.0])
-
-
-class SingularEffectivenessError(ValueError):
-    """Control effectiveness matrix is not full row rank."""
 
 
 def plant_drift(x: np.ndarray) -> np.ndarray:
@@ -83,80 +71,24 @@ def desired(t: float) -> tuple[np.ndarray, np.ndarray]:
     return value, rate
 
 
-@dataclass(frozen=True)
-class DesiredTrajectory:
-    """The closed-form reference with per-component amplitude bounds."""
-
-    component_bounds: tuple[float, ...] = (1.0, 1.0, 2.0, 2.0, 1.0)
-    rate_component_bounds: tuple[float, ...] = (2.0, 1.0, 5.0, 1.5, 1.0)
-
-    def value(self, t: float) -> np.ndarray:
-        return desired(t)[0]
-
-    def rate(self, t: float) -> np.ndarray:
-        return desired(t)[1]
-
-    @property
-    def norm_bound(self) -> float:
-        return float(np.linalg.norm(self.component_bounds))
-
-    @property
-    def rate_norm_bound(self) -> float:
-        return float(np.linalg.norm(self.rate_component_bounds))
-
-
-@dataclass(frozen=True)
-class PlantModel:
-    """Benchmark plant bundle: dimension, drift, and effectiveness.
-
-    ``effectiveness=None`` means the identity matrix (the benchmark case,
-    handled without a pseudo-inverse).
-    """
-
-    dimension: int = STATE_DIM
-    drift: Callable[[np.ndarray], np.ndarray] = field(default=plant_drift)
-    effectiveness: Optional[np.ndarray] = None
-
-
 def tracking_error(x: np.ndarray, t: float) -> np.ndarray:
     """Deviation of the state from the desired trajectory."""
     return np.asarray(x, dtype=float) - desired(t)[0]
 
 
-def right_pseudo_inverse(g: np.ndarray) -> np.ndarray:
-    """Right pseudo-inverse ``g.T (g g.T)^-1`` of a full-row-rank matrix."""
-    g = np.asarray(g, dtype=float)
-    gram = g @ g.T
-    cond = np.linalg.cond(gram)
-    if not np.isfinite(cond) or cond > 1e12:
-        raise SingularEffectivenessError(
-            f"effectiveness matrix is rank deficient (gram condition {cond:.3g})"
-        )
-    return g.T @ np.linalg.inv(gram)
-
-
 def control_input(
-    net: Network,
-    law: TemperatureLaw,
     gains: Gains,
-    x: np.ndarray,
-    theta_hat: np.ndarray,
-    t: float,
-    effectiveness: Optional[np.ndarray] = None,
+    xd_rate: np.ndarray,
+    e: np.ndarray,
+    phi: np.ndarray,
+    mu: np.ndarray,
 ) -> np.ndarray:
     """Tracking controller with feedforward, feedback, and thermal compensation.
 
-    Follows the desired rate, cancels the learned model, applies
-    proportional error feedback, and subtracts the temperature-coupling
-    term that offsets the stochastic exploration. With identity
-    effectiveness the pseudo-inverse is skipped.
+    Follows the desired rate ``xd_rate``, cancels the learned model output
+    ``phi``, applies proportional feedback on the tracking error ``e``, and
+    subtracts the temperature-coupling term (``mu`` from the temperature
+    law) that offsets the stochastic exploration. The control
+    effectiveness is the identity, so this is the plant input.
     """
-    x = np.asarray(x, dtype=float)
-    _, xd_rate = desired(t)
-    e = tracking_error(x, t)
-    phi = net.with_theta(theta_hat).forward(x)
-    mu = law.mu(x, theta_hat, e)
-    v = xd_rate - gains.control_gain * e - phi - gains.thermal_coeff * mu
-    if effectiveness is None:
-        return v
-    return right_pseudo_inverse(effectiveness) @ v
+    return xd_rate - gains.control_gain * e - phi - gains.thermal_coeff * mu

@@ -19,27 +19,24 @@ step resolution.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .config import SCENARIO_LAWS, ExperimentConfig
-from .network import Network, NetworkEvaluator, he_init
-from .numerics import RandomSource
-from .plant import STATE_DIM, desired, plant_drift
-from .projection import ConvexBall
-from .thermo import Gains, TemperatureLaw
+from .diagnostics import lyapunov_value
+from .network import Network, NetworkEvaluator
+from .numerics import RandomSource, wiener_increment
+from .plant import STATE_DIM, control_input, desired, plant_drift
+from .thermo import diffusion_coefficient, drift
 
 __all__ = [
-    "SimState",
     "TrajectoryLog",
     "DivergenceError",
     "MetricsReport",
     "EARLY_WINDOW",
     "LATE_WINDOW",
-    "evaluate_state",
-    "step",
     "run",
     "metrics",
     "write_csv",
@@ -55,31 +52,13 @@ LATE_WINDOW = (25.0, 30.0)
 class DivergenceError(RuntimeError):
     """A state component became non-finite during integration."""
 
-    def __init__(self, step_index: int, time: float, partial_log=None):
+    def __init__(self, step_index: int, time: float, partial_log: TrajectoryLog):
         super().__init__(
             f"non-finite state at step {step_index} (t = {time:.6g} s)"
         )
         self.step_index = step_index
         self.time = time
         self.partial_log = partial_log
-
-
-@dataclass
-class SimState:
-    """Snapshot of the coupled system plus cached per-state diagnostics.
-
-    The cached fields are functions of ``(t, x, theta_hat)`` (and, for the
-    Lyapunov proxy, of the reference weights) and can be recomputed from
-    them exactly.
-    """
-
-    t: float
-    x: np.ndarray
-    theta_hat: np.ndarray
-    tracking_error: np.ndarray
-    temperature: float
-    lyapunov_proxy: float
-    func_approx_error: float
 
 
 @dataclass
@@ -111,7 +90,6 @@ class TrajectoryLog:
     max_boundary_value: float
     initial_theta: np.ndarray
     final_theta: np.ndarray
-    final_state: Optional[SimState] = field(default=None, repr=False)
 
 
 @dataclass(frozen=True)
@@ -121,110 +99,6 @@ class MetricsReport:
     rms_error: float
     rms_func_err: float
     off_traj_rms: float
-
-
-def _state_eval(evaluator, law, gains, x, theta, t):
-    """Per-state quantities shared by logging and stepping.
-
-    Returns views into the evaluator's buffers for the network output and
-    Jacobian; they are invalidated by the next evaluation.
-    """
-    phi, jac = evaluator.evaluate(theta, x)
-    xd, xd_rate = desired(t)
-    e = x - xd
-    mu = law.mu(x, theta, e)
-    temp = max(float(e @ mu), 0.0)
-    intensity = float(np.sqrt(gains.diffusion_gain * temp))
-    f_val = plant_drift(x)
-    func_err = float(np.linalg.norm(f_val - phi))
-    return phi, jac, xd_rate, e, mu, temp, intensity, f_val, func_err
-
-
-def _advance(ball, law, gains, dt, rng, x, theta, phi, jac, xd_rate, e, mu,
-             intensity, f_val):
-    """One Euler-Maruyama update of (x, theta). Returns (x+, theta+, clipped)."""
-    u = xd_rate - gains.control_gain * e - phi - gains.thermal_coeff * mu
-    x_new = x + (f_val + u) * dt
-    rho = jac.T @ e
-    rho += gains.thermal_coeff * law.mu_jacobian_applied(x, theta, e)
-    rho -= gains.forgetting_factor * theta
-    theta_new = theta + (gains.learning_rate * dt) * ball.project(theta, rho)
-    if gains.diffusion_gain > 0.0:
-        dw = rng.standard_normal(theta.size)
-        dw *= np.sqrt(dt)
-        theta_new = theta_new + gains.learning_rate * ball.project(theta, intensity * dw)
-    theta_new, clipped = ball.clip(theta_new)
-    return x_new, theta_new, clipped
-
-
-def _lyap_proxy(e, theta, theta_ref, learning_rate):
-    diff = theta_ref - theta
-    return 0.5 * float(e @ e) + 0.5 / learning_rate * float(diff @ diff)
-
-
-def evaluate_state(
-    net: Network,
-    law: TemperatureLaw,
-    gains: Gains,
-    x: np.ndarray,
-    theta_hat: np.ndarray,
-    t: float,
-    theta_ref: Optional[np.ndarray] = None,
-) -> SimState:
-    """Build a :class:`SimState` with all cached diagnostics filled in.
-
-    ``theta_ref`` is the reference for the Lyapunov proxy; ``None`` means
-    the zero vector.
-    """
-    x = np.asarray(x, dtype=float)
-    theta_hat = np.asarray(theta_hat, dtype=float)
-    if theta_ref is None:
-        theta_ref = np.zeros(theta_hat.size)
-    evaluator = NetworkEvaluator(net.shape)
-    _, _, _, e, _, temp, _, _, func_err = _state_eval(
-        evaluator, law, gains, x, theta_hat, t
-    )
-    return SimState(
-        t=t,
-        x=x.copy(),
-        theta_hat=theta_hat.copy(),
-        tracking_error=e.copy(),
-        temperature=temp,
-        lyapunov_proxy=_lyap_proxy(e, theta_hat, theta_ref, gains.learning_rate),
-        func_approx_error=func_err,
-    )
-
-
-def step(
-    state: SimState,
-    net: Network,
-    ball: ConvexBall,
-    law: TemperatureLaw,
-    gains: Gains,
-    dt: float,
-    rng: RandomSource,
-    theta_ref: Optional[np.ndarray] = None,
-) -> SimState:
-    """Advance one step from ``state`` and return the successor state.
-
-    Raises :class:`DivergenceError` when the update produces a non-finite
-    component. Only ``(t, x, theta_hat)`` of the input state are used.
-    """
-    if dt <= 0.0:
-        raise ValueError(f"dt must be positive, got {dt}")
-    evaluator = NetworkEvaluator(net.shape)
-    x = np.asarray(state.x, dtype=float)
-    theta = np.asarray(state.theta_hat, dtype=float)
-    phi, jac, xd_rate, e, mu, temp, intensity, f_val, _ = _state_eval(
-        evaluator, law, gains, x, theta, state.t
-    )
-    x_new, theta_new, _ = _advance(
-        ball, law, gains, dt, rng, x, theta, phi, jac, xd_rate, e, mu,
-        intensity, f_val,
-    )
-    if not (np.isfinite(x_new).all() and np.isfinite(theta_new).all()):
-        raise DivergenceError(step_index=1, time=state.t + dt)
-    return evaluate_state(net, law, gains, x_new, theta_new, state.t + dt, theta_ref)
 
 
 def run(
@@ -250,8 +124,8 @@ def run(
     ball = config.ball()
     gains = config.gains_for(scenario)
     law = config.law_for(scenario)
-    net0 = he_init(shape, RandomSource(config.init_seed))
-    theta = net0.theta.copy()
+    theta0 = config.initial_theta()
+    theta = theta0.copy()
     x = config.x0()
     if theta_ref is None:
         theta_ref = np.zeros(theta.size)
@@ -287,7 +161,7 @@ def run(
     i = 0
     t = 0.0
 
-    def _build_log(rows_filled: int, final_state: Optional[SimState]) -> TrajectoryLog:
+    def _build_log(rows_filled: int) -> TrajectoryLog:
         early = temp_sums[0] / temp_counts[0] if temp_counts[0] else float("nan")
         late = temp_sums[1] / temp_counts[1] if temp_counts[1] else float("nan")
         return TrajectoryLog(
@@ -314,15 +188,22 @@ def run(
             temp_mean_late=late,
             clip_count=clip_count,
             max_boundary_value=float(max_boundary_value),
-            initial_theta=net0.theta.copy(),
+            initial_theta=theta0.copy(),
             final_theta=theta.copy(),
-            final_state=final_state,
         )
 
     while True:
-        phi, jac, xd_rate, e, mu, temp, intensity, f_val, func_err = _state_eval(
-            evaluator, law, gains, x, theta, t
-        )
+        # Per-state quantities, logged and used by the step. phi and jac are
+        # views into the evaluator's buffers, valid until its next call.
+        phi, jac = evaluator.evaluate(theta, x)
+        xd, xd_rate = desired(t)
+        e = x - xd
+        mu = law.mu(x, theta, e)
+        temp = law.temperature(e, mu)
+        intensity = diffusion_coefficient(gains, temp)
+        f_val = plant_drift(x)
+        func_err = float(np.linalg.norm(f_val - phi))
+
         e_sq = float(e @ e)
         sum_error_sq += e_sq
         sum_func_err_sq += func_err * func_err
@@ -344,34 +225,29 @@ def run(
             weight_norms[row] = np.linalg.norm(theta)
             temperatures[row] = temp
             diffusions[row] = intensity
-            lyapunov_proxies[row] = _lyap_proxy(e, theta, theta_ref, gains.learning_rate)
+            lyapunov_proxies[row] = lyapunov_value(e, theta_ref - theta, gains.learning_rate)
             func_err_norms[row] = func_err
             clip_flags[row] = clips_since_row
             clips_since_row = 0
             row += 1
 
         if i == n_steps:
-            final = SimState(
-                t=t,
-                x=x.copy(),
-                theta_hat=theta.copy(),
-                tracking_error=e.copy(),
-                temperature=temp,
-                lyapunov_proxy=_lyap_proxy(e, theta, theta_ref, gains.learning_rate),
-                func_approx_error=func_err,
-            )
-            return _build_log(row, final)
+            return _build_log(row)
 
-        x_new, theta_new, clipped = _advance(
-            ball, law, gains, dt, rng, x, theta, phi, jac, xd_rate, e, mu,
-            intensity, f_val,
-        )
+        # Euler-Maruyama update; both projections are taken at the pre-step weights.
+        x_new = x + (f_val + control_input(gains, xd_rate, e, phi, mu)) * dt
+        rho = drift(law, gains, jac, x, theta, e)
+        theta_new = theta + (gains.learning_rate * dt) * ball.project(theta, rho)
+        if gains.diffusion_gain > 0.0:
+            dw = wiener_increment(rng, theta.size, dt)
+            theta_new = theta_new + gains.learning_rate * ball.project(theta, intensity * dw)
+        theta_new, clipped = ball.clip(theta_new)
         if clipped:
             clip_count += 1
             clips_since_row += 1
         if not (np.isfinite(x_new).all() and np.isfinite(theta_new).all()):
             raise DivergenceError(
-                step_index=i + 1, time=t + dt, partial_log=_build_log(row, None)
+                step_index=i + 1, time=t + dt, partial_log=_build_log(row)
             )
         x = x_new
         theta = theta_new

@@ -25,14 +25,12 @@ differences.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
 
-from .network import Network
 from .numerics import RandomSource, finite_diff_jacobian
-from .projection import ConvexBall, Membership, ProjectionDomainError
 
 __all__ = [
     "Gains",
@@ -52,15 +50,15 @@ class Gains:
 
     ``diffusion_gain`` may be zero (stochastic exploration switched off,
     the deterministic baseline); everything else must be positive.
-    ``weight_count`` is the size of the flat weight vector and must match
-    the network in use.
+    ``weight_count`` is the size p of the flat weight vector; it has no
+    default because it comes from the shape of the network in use.
     """
 
     learning_rate: float = 1.0
     forgetting_factor: float = 0.001
     diffusion_gain: float = 0.03
     control_gain: float = 100.0
-    weight_count: int = 995
+    weight_count: int = field(kw_only=True)
 
     def __post_init__(self) -> None:
         if self.learning_rate <= 0.0:
@@ -113,14 +111,14 @@ class TemperatureLaw:
             return (self.quad_weight * float(theta_hat @ theta_hat) + self.scale) * e
         return np.asarray(self.mu_fn(x, theta_hat, e), dtype=float)
 
-    def temperature(self, x: np.ndarray, theta_hat: np.ndarray, e: np.ndarray) -> float:
-        """Scalar temperature ``max(e . mu, 0)``.
+    @staticmethod
+    def temperature(e: np.ndarray, mu: np.ndarray) -> float:
+        """Scalar temperature ``max(e . mu, 0)`` from the law's ``mu`` at ``e``.
 
         Nonnegative by design for the built-in laws; the clamp only guards
         floating-point round-off (and ill-behaved custom laws).
         """
-        e = np.asarray(e, dtype=float)
-        return max(float(e @ self.mu(x, theta_hat, e)), 0.0)
+        return max(float(e @ mu), 0.0)
 
     def mu_jacobian(self, x: np.ndarray, theta_hat: np.ndarray, e: np.ndarray) -> np.ndarray:
         """Jacobian of ``mu`` with respect to the weights, shape (n, p)."""
@@ -154,10 +152,9 @@ def internal_energy(e, e_dot, theta_hat, forgetting_factor: float) -> float:
 
 
 def drift(
-    net: Network,
-    ball: ConvexBall,
     law: TemperatureLaw,
     gains: Gains,
+    jac: np.ndarray,
     x: np.ndarray,
     theta_hat: np.ndarray,
     e: np.ndarray,
@@ -165,37 +162,23 @@ def drift(
     """Deterministic part of the weight update, before projection.
 
     Equals the negative weight-gradient of the closed-loop internal energy:
-    the approximation-error pull ``J.T e``, the temperature-coupling
-    correction, and the forgetting pull toward zero.
+    the approximation-error pull ``J.T e`` (``jac`` is the network's weight
+    Jacobian at ``x``), the temperature-coupling correction, and the
+    forgetting pull toward zero.
     """
-    theta_hat = np.asarray(theta_hat, dtype=float)
-    e = np.asarray(e, dtype=float)
-    if theta_hat.size != gains.weight_count:
-        raise ValueError(
-            f"theta has {theta_hat.size} entries, gains expect {gains.weight_count}"
-        )
-    if ball.classify(theta_hat) is Membership.OUTSIDE:
-        raise ProjectionDomainError("weights outside the layered search region")
-    jac = net.with_theta(theta_hat).weight_jacobian(x)
     rho = jac.T @ e
     rho += gains.thermal_coeff * law.mu_jacobian_applied(x, theta_hat, e)
     rho -= gains.forgetting_factor * theta_hat
     return rho
 
 
-def diffusion_coefficient(
-    law: TemperatureLaw,
-    gains: Gains,
-    x: np.ndarray,
-    theta_hat: np.ndarray,
-    e: np.ndarray,
-) -> float:
+def diffusion_coefficient(gains: Gains, temperature: float) -> float:
     """Scalar noise intensity ``sqrt(diffusion_gain * T)``.
 
     The per-step stochastic increment is this scalar times a Wiener
     increment (scalar-times-identity diffusion).
     """
-    return float(np.sqrt(gains.diffusion_gain * law.temperature(x, theta_hat, e)))
+    return float(np.sqrt(gains.diffusion_gain * temperature))
 
 
 def validate_custom_law(

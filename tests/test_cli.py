@@ -300,6 +300,38 @@ def test_run_missing_config_exit_2(tmp_path):
     assert main(["run", "--config", str(tmp_path / "nope.ini")]) == 2
 
 
+# radius 10 < 13.42, the norm of the He-initialised default weights
+SMALL_BALL = """
+[experiment]
+horizon = 0.5
+seeds = 2
+output_dir = {out}
+
+[ball]
+radius = 10
+"""
+
+
+def test_validate_small_ball_exit_2(tmp_path, capsys):
+    path = write_config(tmp_path, SMALL_BALL.format(out=tmp_path / "out"))
+    assert main(["validate", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ball radius 10 ")
+    assert "13.42" in err
+
+
+def test_run_small_ball_exit_2_writes_nothing(tmp_path, capsys):
+    for reference in ("deterministic", "zero"):
+        out = tmp_path / reference
+        text = SMALL_BALL.format(out=out) + f"[lyapunov]\nreference = {reference}\n"
+        path = write_config(tmp_path, text)
+        assert main(["run", "--config", str(path), "--workers", "2"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ball radius 10 ")
+        assert "13.42" in err
+        assert not out.exists()
+
+
 def test_run_and_summarize_cli(tmp_path, capsys):
     cfg_path = write_config(
         tmp_path,

@@ -6,7 +6,6 @@ import pytest
 from thermoadapt import (
     RandomSource,
     finite_diff_jacobian,
-    rms_over_log,
     wiener_increment,
 )
 
@@ -82,25 +81,6 @@ def test_wiener_rejects_bad_args():
         wiener_increment(rng, 3, -1.0)
     with pytest.raises(ValueError):
         wiener_increment(rng, 0, 0.1)
-
-
-def test_rms_single_sample():
-    assert rms_over_log([(3.0, 4.0)]) == pytest.approx(5.0)
-
-
-def test_rms_symmetry():
-    assert rms_over_log([(1.0, 0.0), (0.0, 1.0)]) == pytest.approx(1.0)
-
-
-def test_rms_constant_sequence():
-    c = np.array([0.3, -1.2, 2.0])
-    samples = np.tile(c, (1000, 1))
-    assert rms_over_log(samples) == pytest.approx(np.linalg.norm(c))
-
-
-def test_rms_empty_rejected():
-    with pytest.raises(ValueError):
-        rms_over_log([])
 
 
 def test_fd_jacobian_identity():

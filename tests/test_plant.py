@@ -7,19 +7,19 @@ from thermoadapt import (
     Gains,
     Network,
     NetworkShape,
-    PlantModel,
     RandomSource,
-    SingularEffectivenessError,
     TemperatureLaw,
-    DesiredTrajectory,
     X0_DEFAULT,
     control_input,
     desired,
     he_init,
     plant_drift,
-    right_pseudo_inverse,
     tracking_error,
 )
+
+# Per-component amplitude bounds of the desired trajectory and its rate.
+DESIRED_BOUNDS = (1.0, 1.0, 2.0, 2.0, 1.0)
+DESIRED_RATE_BOUNDS = (2.0, 1.0, 5.0, 1.5, 1.0)
 
 
 def test_drift_at_origin():
@@ -57,13 +57,12 @@ def test_desired_rate_matches_finite_differences():
 
 
 def test_desired_bounds_hold_on_horizon():
-    traj = DesiredTrajectory()
     for t in np.linspace(0.0, 30.0, 1201):
         value, rate = desired(t)
-        assert np.all(np.abs(value) <= np.asarray(traj.component_bounds) + 1e-12)
-        assert np.all(np.abs(rate) <= np.asarray(traj.rate_component_bounds) + 1e-12)
-        assert np.linalg.norm(value) <= traj.norm_bound + 1e-12
-        assert np.linalg.norm(rate) <= traj.rate_norm_bound + 1e-12
+        assert np.all(np.abs(value) <= np.asarray(DESIRED_BOUNDS) + 1e-12)
+        assert np.all(np.abs(rate) <= np.asarray(DESIRED_RATE_BOUNDS) + 1e-12)
+        assert np.linalg.norm(value) <= np.linalg.norm(DESIRED_BOUNDS) + 1e-12
+        assert np.linalg.norm(rate) <= np.linalg.norm(DESIRED_RATE_BOUNDS) + 1e-12
 
 
 def test_tracking_error_zero_on_trajectory():
@@ -94,6 +93,14 @@ def zero_network():
     return Network(shape, np.zeros(shape.param_count)), shape
 
 
+def controller(net, law, gains, x, theta, t):
+    """Control input at state ``x`` and time ``t`` with weights ``theta``."""
+    _, rate = desired(t)
+    e = tracking_error(x, t)
+    phi = net.with_theta(theta).forward(x)
+    return control_input(gains, rate, e, phi, law.mu(x, theta, e))
+
+
 def test_controller_perfect_tracking_feedforward():
     # e = 0 and a zero network leave only the desired rate
     net, shape = zero_network()
@@ -101,7 +108,7 @@ def test_controller_perfect_tracking_feedforward():
     law = TemperatureLaw(kind="error")
     t = 2.0
     x, rate = desired(t)
-    u = control_input(net, law, gains, x, net.theta, t)
+    u = controller(net, law, gains, x, net.theta, t)
     assert np.allclose(u, rate, atol=1e-14)
 
 
@@ -115,21 +122,9 @@ def test_controller_baseline_when_diffusion_off():
     x = rng.standard_normal(5)
     e = tracking_error(x, t)
     _, rate = desired(t)
-    u = control_input(net, law, gains, x, net.theta, t)
+    u = controller(net, law, gains, x, net.theta, t)
     expected = rate - gains.control_gain * e - net.forward(x)
     assert np.allclose(u, expected, atol=1e-12)
-
-
-def test_controller_identity_effectiveness_matches_default():
-    rng = RandomSource(12)
-    shape = NetworkShape(5, (6,), 5)
-    net = he_init(shape, rng)
-    gains = Gains(weight_count=shape.param_count)
-    law = TemperatureLaw(kind="state")
-    x = rng.standard_normal(5)
-    u_default = control_input(net, law, gains, x, net.theta, 0.7)
-    u_explicit = control_input(net, law, gains, x, net.theta, 0.7, effectiveness=np.eye(5))
-    assert np.allclose(u_default, u_explicit, atol=1e-12)
 
 
 def test_closed_loop_error_identity():
@@ -144,7 +139,7 @@ def test_closed_loop_error_identity():
         x = rng.standard_normal(5)
         theta = net.theta
         e = tracking_error(x, t)
-        u = control_input(net, law, gains, x, theta, t)
+        u = controller(net, law, gains, x, theta, t)
         _, rate = desired(t)
         x_dot = plant_drift(x) + u  # identity effectiveness
         lhs = x_dot - rate
@@ -155,31 +150,6 @@ def test_closed_loop_error_identity():
             - gains.thermal_coeff * law.mu(x, theta, e)
         )
         assert np.allclose(lhs, rhs, atol=1e-12)
-
-
-def test_right_pseudo_inverse_property():
-    rng = RandomSource(16)
-    for rows, cols in ((3, 5), (2, 4), (5, 5)):
-        g = rng.standard_normal(rows * cols).reshape(rows, cols)
-        pinv = right_pseudo_inverse(g)
-        assert np.allclose(g @ pinv, np.eye(rows), atol=1e-10)
-
-
-def test_right_pseudo_inverse_rejects_rank_deficient():
-    g = np.array([[1.0, 2.0, 3.0], [2.0, 4.0, 6.0]])  # rank 1
-    with pytest.raises(SingularEffectivenessError):
-        right_pseudo_inverse(g)
-
-
-def test_identity_pseudo_inverse_exact():
-    assert np.allclose(right_pseudo_inverse(np.eye(5)), np.eye(5), atol=1e-14)
-
-
-def test_plant_model_defaults():
-    model = PlantModel()
-    assert model.dimension == 5
-    assert model.effectiveness is None  # identity
-    assert np.array_equal(model.drift(X0_DEFAULT), plant_drift(X0_DEFAULT))
 
 
 def test_perfect_feedforward_tracks_to_second_order():

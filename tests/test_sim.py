@@ -4,20 +4,26 @@ import numpy as np
 import pytest
 
 from thermoadapt import (
+    SCENARIO_NAMES,
     DivergenceError,
     ExperimentConfig,
     Network,
     RandomSource,
-    evaluate_state,
-    he_init,
+    control_input,
+    desired,
+    drift,
+    lyapunov_value,
     metrics,
     plant_drift,
     run,
-    step,
 )
 
 # small network keeps single steps ~100x cheaper than the benchmark shape
 FAST = ExperimentConfig(horizon=2.0, hidden_layers=2, hidden_width=8, log_stride=5)
+
+# every step logged, with a nonzero reference for the Lyapunov proxy
+ROWS = FAST.with_updates(horizon=0.2, log_stride=1)
+ROWS_THETA_REF = 0.5 * ROWS.initial_theta()
 
 
 @pytest.fixture(scope="module")
@@ -25,11 +31,24 @@ def fast_s2_log():
     return run(FAST, "S2", 3)
 
 
+@pytest.fixture(scope="module")
+def row_logs():
+    return {sc: run(ROWS, sc, 5, theta_ref=ROWS_THETA_REF) for sc in SCENARIO_NAMES}
+
+
 def test_run_is_deterministic(fast_s2_log):
     again = run(FAST, "S2", 3)
     assert np.array_equal(again.states, fast_s2_log.states)
     assert np.array_equal(again.final_theta, fast_s2_log.final_theta)
     assert again.sum_error_sq == fast_s2_log.sum_error_sq
+
+
+def test_step_deterministic():
+    one = FAST.with_updates(horizon=FAST.dt, log_stride=1)
+    a, b = run(one, "S2", 5), run(one, "S2", 5)
+    assert np.array_equal(a.states, b.states)
+    assert np.array_equal(a.final_theta, b.final_theta)
+    assert not np.array_equal(a.final_theta, a.initial_theta)
 
 
 def test_diffusion_off_runs_are_seed_independent():
@@ -48,59 +67,63 @@ def test_diffusion_on_runs_differ_by_seed():
     assert not np.array_equal(a.final_theta, b.final_theta)
 
 
-def test_run_matches_repeated_steps():
-    cfg = FAST.with_updates(horizon=0.02)  # 20 steps
-    scenario, seed = "S2", 9
-    log = run(cfg, scenario, seed)
-
-    net = he_init(cfg.network_shape(), RandomSource(cfg.init_seed))
-    ball = cfg.ball()
-    gains = cfg.gains_for(scenario)
-    law = cfg.law_for(scenario)
-    rng = RandomSource(seed)
-    state = evaluate_state(net, law, gains, cfg.x0(), net.theta, 0.0)
-    states = [state]
-    for _ in range(20):
-        state = step(state, net, ball, law, gains, cfg.dt, rng)
-        states.append(state)
-
-    for row, idx in enumerate(range(0, 21, cfg.log_stride)):
-        assert np.array_equal(log.states[row], states[idx].x)
-        assert np.array_equal(log.errors[row], states[idx].tracking_error)
-        assert log.temperatures[row] == states[idx].temperature
-    assert np.array_equal(log.final_theta, states[-1].theta_hat)
+def test_logged_rows_self_consistent(row_logs):
+    # each row's e, |e|, T and diffusion follow from its own t, x and |theta|
+    for scenario, log in row_logs.items():
+        law, gains = ROWS.law_for(scenario), ROWS.gains_for(scenario)
+        assert log.times.size == round(ROWS.horizon / ROWS.dt) + 1
+        for r, t in enumerate(log.times):
+            x, e = log.states[r], log.errors[r]
+            assert np.array_equal(e, x - desired(t)[0])
+            assert log.error_norms[r] == pytest.approx(np.linalg.norm(e), rel=1e-15, abs=0)
+            # the weight law sees theta only through |theta|^2
+            mu = law.mu(x, np.array([log.weight_norms[r]]), e)
+            temp = log.temperatures[r]
+            assert temp == pytest.approx(max(float(e @ mu), 0.0), rel=1e-13, abs=0)
+            assert log.diffusions[r] == pytest.approx(
+                np.sqrt(gains.diffusion_gain * temp), rel=1e-15, abs=0
+            )
+        if scenario == "S1":
+            assert np.all(log.diffusions == 0.0)
 
 
-def test_step_deterministic():
-    net = he_init(FAST.network_shape(), RandomSource(0))
-    ball, gains, law = FAST.ball(), FAST.gains_for("S2"), FAST.law_for("S2")
-    s0 = evaluate_state(net, law, gains, FAST.x0(), net.theta, 0.0)
-    a = step(s0, net, ball, law, gains, 1e-3, RandomSource(5))
-    b = step(s0, net, ball, law, gains, 1e-3, RandomSource(5))
-    assert np.array_equal(a.x, b.x)
-    assert np.array_equal(a.theta_hat, b.theta_hat)
+def test_last_row_follows_from_final_theta(row_logs):
+    net_shape = ROWS.network_shape()
+    for scenario, log in row_logs.items():
+        x, e, theta = log.states[-1], log.errors[-1], log.final_theta
+        assert log.weight_norms[-1] == np.linalg.norm(theta)
+        assert log.weight_norms[0] == np.linalg.norm(log.initial_theta)
+        assert log.lyapunov_proxies[-1] == lyapunov_value(
+            e, ROWS_THETA_REF - theta, ROWS.learning_rate
+        )
+        model = Network(net_shape, theta).forward(x)
+        assert log.func_err_norms[-1] == pytest.approx(
+            np.linalg.norm(plant_drift(x) - model), rel=1e-12, abs=0
+        )
 
 
 def test_step_reduces_to_projected_gradient_when_diffusion_off():
-    cfg = FAST
-    net = he_init(cfg.network_shape(), RandomSource(cfg.init_seed))
+    # one S1 step: theta+ = theta0 + lr dt proj(theta0, drift), x+ = x0 + (f + u) dt
+    cfg = FAST.with_updates(horizon=FAST.dt, log_stride=1)
+    log = run(cfg, "S1", 1)
     ball, gains, law = cfg.ball(), cfg.gains_for("S1"), cfg.law_for("S1")
     assert gains.diffusion_gain == 0.0
-    x = cfg.x0()
-    s0 = evaluate_state(net, law, gains, x, net.theta, 0.0)
-    s1 = step(s0, net, ball, law, gains, cfg.dt, RandomSource(1))
-
-    e = s0.tracking_error
-    rho = net.weight_jacobian(x).T @ e - gains.forgetting_factor * net.theta
-    expected = net.theta + gains.learning_rate * cfg.dt * ball.project(net.theta, rho)
-    assert np.allclose(s1.theta_hat, expected, atol=1e-15)
+    net = Network(cfg.network_shape(), cfg.initial_theta())
+    x, theta = cfg.x0(), net.theta
+    xd, xd_rate = desired(0.0)
+    e = x - xd
+    mu = law.mu(x, theta, e)
+    rho = drift(law, gains, net.weight_jacobian(x), x, theta, e)
+    expected = theta + gains.learning_rate * cfg.dt * ball.project(theta, rho)
+    assert np.array_equal(log.final_theta, expected)
+    u = control_input(gains, xd_rate, e, net.forward(x), mu)
+    assert np.allclose(log.states[1], x + (plant_drift(x) + u) * cfg.dt, rtol=1e-14, atol=0.0)
 
 
 def test_step_rejects_nonpositive_dt():
-    net = he_init(FAST.network_shape(), RandomSource(0))
-    s0 = evaluate_state(net, FAST.law_for("S1"), FAST.gains_for("S1"), FAST.x0(), net.theta, 0.0)
-    with pytest.raises(ValueError):
-        step(s0, net, FAST.ball(), FAST.law_for("S1"), FAST.gains_for("S1"), 0.0, RandomSource(0))
+    for dt in (0.0, -1e-3):
+        with pytest.raises(ValueError, match="dt"):
+            FAST.with_updates(dt=dt)
 
 
 def test_zero_horizon_logs_initial_state_only():
@@ -132,18 +155,6 @@ def test_divergence_raises_with_partial_log():
     assert err.step_index >= 1
     assert err.partial_log is not None
     assert err.partial_log.times.size >= 1
-
-
-def test_final_state_caches_recomputable(fast_s2_log):
-    cfg = FAST
-    final = fast_s2_log.final_state
-    net = Network(cfg.network_shape(), fast_s2_log.final_theta)
-    recomputed = evaluate_state(
-        net, cfg.law_for("S2"), cfg.gains_for("S2"), final.x, final.theta_hat, final.t
-    )
-    assert np.allclose(recomputed.tracking_error, final.tracking_error, atol=1e-15)
-    assert recomputed.temperature == pytest.approx(final.temperature, abs=1e-15)
-    assert recomputed.func_approx_error == pytest.approx(final.func_approx_error, abs=1e-12)
 
 
 def test_weights_never_leave_layered_region(fast_s2_log):
@@ -225,12 +236,16 @@ def test_unknown_scenario_rejected():
 
 
 def test_projection_clip_counted():
-    # a tiny ball forces clipping immediately
-    cfg = FAST.with_updates(horizon=0.05, ball_radius=0.5, ball_layer=0.01)
-    with pytest.raises(Exception):
-        # init weights lie far outside a radius-0.5 ball: the projection
-        # domain check fires on the first step
-        run(cfg, "S1", 0)
+    # a ball that does not hold the initial weights is rejected up front
+    with pytest.raises(ValueError, match="radius 0.5 .*norm is 6.18"):
+        FAST.with_updates(ball_radius=0.5, ball_layer=0.01)
+    # a shell right at the initial norm with a thin layer forces clips
+    radius = float(np.linalg.norm(FAST.initial_theta()))
+    cfg = FAST.with_updates(horizon=0.3, ball_radius=radius, ball_layer=1e-3, log_stride=1)
+    log = run(cfg, "S2", 0)
+    assert log.clip_count > 0
+    assert int(log.clip_flags.sum()) == log.clip_count
+    assert log.max_boundary_value <= cfg.ball_layer + 1e-9
 
 
 def test_csv_written_rows(tmp_path, fast_s2_log):

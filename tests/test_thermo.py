@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from thermoadapt import (
-    ConvexBall,
     Gains,
     NetworkShape,
     RandomSource,
@@ -27,10 +26,9 @@ def small_setup(seed=0, p_hidden=(6, 5)):
     rng = RandomSource(seed)
     net = he_init(shape, rng)
     gains = Gains(weight_count=shape.param_count)
-    ball = ConvexBall(radius=20.0, layer=0.1)
     x = rng.standard_normal(5)
     e = rng.standard_normal(5) * 0.3
-    return net, gains, ball, x, e, rng
+    return net, gains, x, e, rng
 
 
 # -- mu ------------------------------------------------------------------------
@@ -62,20 +60,24 @@ def test_mu_weight_law_example():
 # -- temperature -----------------------------------------------------------------
 
 
+def temperature(law, x, theta, e):
+    return law.temperature(e, law.mu(x, theta, e))
+
+
 def test_temperature_vanishes_with_error():
-    assert ERROR_LAW.temperature(np.ones(5), np.ones(8), np.zeros(5)) == 0.0
+    assert temperature(ERROR_LAW, np.ones(5), np.ones(8), np.zeros(5)) == 0.0
 
 
 def test_temperature_error_law_unit_error():
     e = np.array([0.6, 0.8, 0.0, 0.0, 0.0])  # norm 1
-    assert ERROR_LAW.temperature(np.zeros(5), np.zeros(3), e) == pytest.approx(9.0)
+    assert temperature(ERROR_LAW, np.zeros(5), np.zeros(3), e) == pytest.approx(9.0)
 
 
 def test_temperature_weight_law_example():
     theta = np.zeros(12)
     theta[3] = 10.0
     e = np.array([2.0, 0.0, 0.0, 0.0, 0.0])  # norm 2
-    assert WEIGHT_LAW.temperature(np.zeros(5), theta, e) == pytest.approx(40.0)
+    assert temperature(WEIGHT_LAW, np.zeros(5), theta, e) == pytest.approx(40.0)
 
 
 @pytest.mark.slow
@@ -87,7 +89,7 @@ def test_temperature_nonnegative_random_states():
         theta = rng.standard_normal(12) * 5.0
         e = rng.standard_normal(5) * 2.0
         for law in laws:
-            assert law.temperature(x, theta, e) >= 0.0
+            assert temperature(law, x, theta, e) >= 0.0
 
 
 # -- mu jacobian -----------------------------------------------------------------
@@ -171,36 +173,33 @@ def test_internal_energy_weight_term():
 # -- drift --------------------------------------------------------------------------
 
 
+def weight_drift(net, law, gains, x, theta, e):
+    """Drift with the network's weight Jacobian at ``x`` for weights ``theta``."""
+    jac = net.with_theta(theta).weight_jacobian(x)
+    return drift(law, gains, jac, x, theta, e)
+
+
 def test_drift_vanishes_at_rest():
-    net, gains, ball, x, _, _ = small_setup()
-    out = drift(net, ball, ERROR_LAW, gains, x, np.zeros(gains.weight_count), np.zeros(5))
+    net, gains, x, _, _ = small_setup()
+    out = weight_drift(net, ERROR_LAW, gains, x, np.zeros(gains.weight_count), np.zeros(5))
     assert np.array_equal(out, np.zeros(gains.weight_count))
 
 
 def test_drift_error_law_reduction():
-    net, gains, ball, x, e, _ = small_setup(seed=3)
+    net, gains, x, e, _ = small_setup(seed=3)
     theta = net.theta
-    out = drift(net, ball, ERROR_LAW, gains, x, theta, e)
+    out = weight_drift(net, ERROR_LAW, gains, x, theta, e)
     expected = net.weight_jacobian(x).T @ e - gains.forgetting_factor * theta
     assert np.allclose(out, expected, atol=1e-14)
 
 
 def test_drift_weight_law_coupling_term():
-    net, gains, ball, x, e, _ = small_setup(seed=4)
+    net, gains, x, e, _ = small_setup(seed=4)
     theta = net.theta
-    out = drift(net, ball, WEIGHT_LAW, gains, x, theta, e)
+    out = weight_drift(net, WEIGHT_LAW, gains, x, theta, e)
     coupling = gains.thermal_coeff * 2.0 * WEIGHT_LAW.quad_weight * float(e @ e) * theta
     expected = net.weight_jacobian(x).T @ e + coupling - gains.forgetting_factor * theta
     assert np.allclose(out, expected, rtol=1e-12)
-
-
-def test_drift_rejects_outside_weights():
-    net, gains, ball, x, e, _ = small_setup(seed=5)
-    theta = np.full(gains.weight_count, 10.0)  # far outside radius 20 in norm
-    from thermoadapt import ProjectionDomainError
-
-    with pytest.raises(ProjectionDomainError):
-        drift(net, ball, ERROR_LAW, gains, x, theta, e)
 
 
 def test_drift_is_negative_energy_gradient():
@@ -208,7 +207,7 @@ def test_drift_is_negative_energy_gradient():
     from thermoadapt import plant_drift
 
     for law in (ERROR_LAW, STATE_LAW, WEIGHT_LAW):
-        net, gains, ball, x, e, _ = small_setup(seed=11)
+        net, gains, x, e, _ = small_setup(seed=11)
         theta = net.theta
         f_val = plant_drift(x)
 
@@ -219,7 +218,7 @@ def test_drift_is_negative_energy_gradient():
             return np.array([internal_energy(e, e_dot, th, gains.forgetting_factor)])
 
         numeric = finite_diff_jacobian(closed_loop_energy, theta, h=1e-6)[0]
-        analytic = drift(net, ball, law, gains, x, theta, e)
+        analytic = weight_drift(net, law, gains, x, theta, e)
         scale = max(np.max(np.abs(analytic)), 1e-9)
         assert np.max(np.abs(analytic + numeric)) / scale < 1e-5
 
@@ -229,20 +228,23 @@ def test_drift_is_negative_energy_gradient():
 
 def test_diffusion_zero_error():
     gains = Gains(weight_count=10)
-    assert diffusion_coefficient(ERROR_LAW, gains, np.ones(5), np.ones(10), np.zeros(5)) == 0.0
+    temp = temperature(ERROR_LAW, np.ones(5), np.ones(10), np.zeros(5))
+    assert diffusion_coefficient(gains, temp) == 0.0
 
 
 def test_diffusion_error_law_value():
     gains = Gains(diffusion_gain=0.03, weight_count=10)
     e = np.array([1.0, 0.0, 0.0, 0.0, 0.0])
-    value = diffusion_coefficient(ERROR_LAW, gains, np.zeros(5), np.zeros(10), e)
+    value = diffusion_coefficient(gains, temperature(ERROR_LAW, np.zeros(5), np.zeros(10), e))
     assert value == pytest.approx(np.sqrt(0.27))
 
 
 def test_diffusion_off_when_gain_zero():
     gains = Gains(diffusion_gain=0.0, weight_count=10)
     e = np.ones(5)
-    assert diffusion_coefficient(WEIGHT_LAW, gains, np.ones(5), np.ones(10), e) == 0.0
+    temp = temperature(WEIGHT_LAW, np.ones(5), np.ones(10), e)
+    assert temp > 0.0
+    assert diffusion_coefficient(gains, temp) == 0.0
 
 
 # -- gains and custom laws ---------------------------------------------------------------
@@ -250,12 +252,16 @@ def test_diffusion_off_when_gain_zero():
 
 def test_gains_validation():
     with pytest.raises(ValueError):
-        Gains(diffusion_gain=-1.0)
+        Gains(diffusion_gain=-1.0, weight_count=10)
     with pytest.raises(ValueError):
-        Gains(control_gain=0.0)
+        Gains(control_gain=0.0, weight_count=10)
     with pytest.raises(ValueError):
-        Gains(learning_rate=-0.1)
-    Gains(diffusion_gain=0.0)  # the deterministic baseline is allowed
+        Gains(learning_rate=-0.1, weight_count=10)
+    with pytest.raises(ValueError):
+        Gains(weight_count=0)
+    with pytest.raises(TypeError):
+        Gains()  # p comes from the network shape; there is no default
+    Gains(diffusion_gain=0.0, weight_count=10)  # the deterministic baseline is allowed
 
 
 def test_thermal_coeff_value():
