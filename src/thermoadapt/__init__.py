@@ -21,17 +21,14 @@ from .diagnostics import (
 )
 from .network import (
     ACTIVATIONS,
-    ActivationBounds,
     Network,
     NetworkEvaluator,
     NetworkShape,
     he_init,
     load_theta,
-    measure_activation_bounds,
     save_theta,
     swish,
     swish_prime,
-    swish_second,
 )
 from .numerics import RandomSource, finite_diff_jacobian, wiener_increment
 from .plant import (
@@ -40,7 +37,6 @@ from .plant import (
     control_input,
     desired,
     plant_drift,
-    tracking_error,
 )
 from .projection import ConvexBall, Membership, ProjectionDomainError
 from .sim import (
@@ -60,7 +56,6 @@ from .thermo import (
     diffusion_coefficient,
     drift,
     internal_energy,
-    validate_custom_law,
 )
 
 __version__ = "0.1.0"

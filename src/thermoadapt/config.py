@@ -9,7 +9,7 @@ off-trajectory test points drawn uniformly from (-0.5, 0.5).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -79,6 +79,8 @@ class ExperimentConfig:
             raise ValueError("scenarios must not repeat")
         if not self.seeds:
             raise ValueError("at least one seed is required")
+        if len(set(self.seeds)) != len(self.seeds):
+            raise ValueError("seeds must not repeat")
         if len(self.initial_state) != STATE_DIM:
             raise ValueError(
                 f"initial_state needs {STATE_DIM} entries, got {len(self.initial_state)}"
@@ -107,6 +109,8 @@ class ExperimentConfig:
         # The components check their own parameters; S2 has exploration on,
         # so its gains include the configured diffusion gain.
         self.gains_for("S2")
+        for seed in (*self.seeds, self.offtraj_seed):
+            RandomSource(seed)
         ball = self.ball()
         theta0 = self.initial_theta()
         if ball.classify(theta0) is Membership.OUTSIDE:
@@ -151,6 +155,3 @@ class ExperimentConfig:
 
     def x0(self) -> np.ndarray:
         return np.asarray(self.initial_state, dtype=float)
-
-    def with_updates(self, **kwargs) -> "ExperimentConfig":
-        return replace(self, **kwargs)

@@ -29,10 +29,7 @@ from .numerics import RandomSource
 __all__ = [
     "swish",
     "swish_prime",
-    "swish_second",
     "ACTIVATIONS",
-    "ActivationBounds",
-    "measure_activation_bounds",
     "NetworkShape",
     "Network",
     "NetworkEvaluator",
@@ -57,12 +54,6 @@ def swish_prime(y):
     return s * (1.0 + y * (1.0 - s))
 
 
-def swish_second(y):
-    """Second derivative of swish: ``s(1-s) * (2 + y*(1-2s))``."""
-    s = expit(y)
-    return s * (1.0 - s) * (2.0 + y * (1.0 - 2.0 * s))
-
-
 def _linear(y):
     return np.asarray(y, dtype=float)
 
@@ -71,62 +62,17 @@ def _linear_prime(y):
     return np.ones_like(np.asarray(y, dtype=float))
 
 
-def _linear_second(y):
-    return np.zeros_like(np.asarray(y, dtype=float))
-
-
 def _tanh_prime(y):
     t = np.tanh(y)
     return 1.0 - t * t
 
 
-def _tanh_second(y):
-    t = np.tanh(y)
-    return -2.0 * t * (1.0 - t * t)
-
-
-# name -> (value, first derivative, second derivative)
-ACTIVATIONS: dict[str, tuple[Callable, Callable, Callable]] = {
-    "swish": (swish, swish_prime, swish_second),
-    "tanh": (np.tanh, _tanh_prime, _tanh_second),
-    "linear": (_linear, _linear_prime, _linear_second),
+# name -> (value, slope)
+ACTIVATIONS: dict[str, tuple[Callable, Callable]] = {
+    "swish": (swish, swish_prime),
+    "tanh": (np.tanh, _tanh_prime),
+    "linear": (_linear, _linear_prime),
 }
-
-
-@dataclass(frozen=True)
-class ActivationBounds:
-    """Measured growth/derivative bounds of a scalar activation.
-
-    On the scanned grid: |act(y)| <= a1*|y| + a0, |act'(y)| <= b0,
-    |act''(y)| <= c0.
-    """
-
-    a0: float
-    a1: float
-    b0: float
-    c0: float
-
-
-def measure_activation_bounds(
-    grid_limit: float,
-    step: float,
-    activation: str = "swish",
-) -> ActivationBounds:
-    """Scan a dense grid for derivative suprema and a linear growth envelope.
-
-    The slope ``a1`` is fixed at 1 (the asymptotic slope of ramp-like
-    activations); ``a0`` absorbs whatever the scan finds above that line.
-    """
-    if grid_limit <= 0.0 or step <= 0.0:
-        raise ValueError("grid_limit and step must be positive")
-    fn, dfn, d2fn = ACTIVATIONS[activation]
-    grid = np.arange(-grid_limit, grid_limit + step, step)
-    vals = np.abs(fn(grid))
-    b0 = float(np.max(np.abs(dfn(grid))))
-    c0 = float(np.max(np.abs(d2fn(grid))))
-    a1 = 1.0
-    a0 = float(max(0.0, np.max(vals - a1 * np.abs(grid))))
-    return ActivationBounds(a0=a0, a1=a1, b0=b0, c0=c0)
 
 
 # ---------------------------------------------------------------------------
@@ -232,16 +178,9 @@ class Network:
         return x
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        """Evaluate the network at input ``x``."""
-        x = self._check_input(x)
-        act = ACTIVATIONS[self.shape.activation][0]
-        mats = self.weight_matrices()
-        u = np.append(x, 1.0)
-        h = mats[0].T @ u
-        for v in mats[1:]:
-            u = np.append(act(h), 1.0)
-            h = v.T @ u
-        return h
+        """Evaluate the network at input ``x``, by :class:`NetworkEvaluator`."""
+        out, _ = NetworkEvaluator(self.shape).evaluate(self.theta, self._check_input(x))
+        return out.copy()
 
     def weight_jacobian(self, x: np.ndarray) -> np.ndarray:
         """Jacobian of the output with respect to the flat weight vector.
@@ -255,11 +194,11 @@ class Network:
 class NetworkEvaluator:
     """Reusable forward+Jacobian evaluator with preallocated buffers.
 
-    Produces the same output as ``Network.forward`` and is the one
-    implementation of the weight Jacobian. It avoids per-call allocation,
-    for use in tight integration loops. The arrays returned by
-    :meth:`evaluate` are views into internal buffers and are overwritten by
-    the next call; copy them to persist.
+    The one implementation of the forward pass and of the weight Jacobian;
+    ``Network.forward`` and ``Network.weight_jacobian`` wrap it. It avoids
+    per-call allocation, for use in tight integration loops. The arrays
+    returned by :meth:`evaluate` are views into internal buffers and are
+    overwritten by the next call; copy them to persist.
 
     The Jacobian comes from a reverse sweep over the layers. The bias entry
     of each augmented layer has zero derivative, so each activation
@@ -269,7 +208,7 @@ class NetworkEvaluator:
 
     def __init__(self, shape: NetworkShape):
         self.shape = shape
-        self._act, self._act_prime, _ = ACTIVATIONS[shape.activation]
+        self._act, self._act_prime = ACTIVATIONS[shape.activation]
         sizes = shape.layer_sizes
         self._k = shape.hidden_layer_count
         self._segments = shape.segments

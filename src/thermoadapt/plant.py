@@ -17,7 +17,6 @@ __all__ = [
     "X0_DEFAULT",
     "plant_drift",
     "desired",
-    "tracking_error",
     "control_input",
 ]
 
@@ -69,11 +68,6 @@ def desired(t: float) -> tuple[np.ndarray, np.ndarray]:
         ]
     )
     return value, rate
-
-
-def tracking_error(x: np.ndarray, t: float) -> np.ndarray:
-    """Deviation of the state from the desired trajectory."""
-    return np.asarray(x, dtype=float) - desired(t)[0]
 
 
 def control_input(

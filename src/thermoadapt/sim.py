@@ -65,10 +65,6 @@ class DivergenceError(RuntimeError):
 class TrajectoryLog:
     """Decimated trajectory rows plus full-resolution accumulators."""
 
-    scenario: str
-    seed: int
-    dt: float
-    stride: int
     times: np.ndarray
     states: np.ndarray
     errors: np.ndarray
@@ -165,10 +161,6 @@ def run(
         early = temp_sums[0] / temp_counts[0] if temp_counts[0] else float("nan")
         late = temp_sums[1] / temp_counts[1] if temp_counts[1] else float("nan")
         return TrajectoryLog(
-            scenario=scenario,
-            seed=seed,
-            dt=dt,
-            stride=stride,
             times=times[:rows_filled].copy(),
             states=states[:rows_filled].copy(),
             errors=errors[:rows_filled].copy(),

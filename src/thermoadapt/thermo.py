@@ -10,27 +10,19 @@ temperature ``T = e . mu(x, theta, e) >= 0``. The temperature shrinks with
 the tracking error, so stochastic exploration dies out as tracking
 improves.
 
-Three built-in choices of ``mu`` are provided, all proportional to the
+Three choices of ``mu`` are provided, all proportional to the
 tracking error:
 
     error:  mu = scale * e
     state:  mu = (quad_weight * |x|^2     + scale) * e
     weight: mu = (quad_weight * |theta|^2 + scale) * e
-
-A custom law supplies its own ``mu`` and its Jacobian with respect to the
-weights; :func:`validate_custom_law` cross-checks the pair against finite
-differences.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
-from typing import Callable, Optional
 
 import numpy as np
-
-from .numerics import RandomSource, finite_diff_jacobian
 
 __all__ = [
     "Gains",
@@ -38,10 +30,9 @@ __all__ = [
     "internal_energy",
     "drift",
     "diffusion_coefficient",
-    "validate_custom_law",
 ]
 
-LAW_KINDS = ("error", "state", "weight", "custom")
+LAW_KINDS = ("error", "state", "weight")
 
 
 @dataclass(frozen=True)
@@ -90,14 +81,10 @@ class TemperatureLaw:
     kind: str = "error"
     scale: float = 9.0
     quad_weight: float = 0.01
-    mu_fn: Optional[Callable] = None
-    mu_jacobian_fn: Optional[Callable] = None
 
     def __post_init__(self) -> None:
         if self.kind not in LAW_KINDS:
             raise ValueError(f"unknown temperature law {self.kind!r}")
-        if self.kind == "custom" and (self.mu_fn is None or self.mu_jacobian_fn is None):
-            raise ValueError("custom law needs both mu_fn and mu_jacobian_fn")
 
     def mu(self, x: np.ndarray, theta_hat: np.ndarray, e: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -106,41 +93,30 @@ class TemperatureLaw:
             return self.scale * e
         if self.kind == "state":
             return (self.quad_weight * float(x @ x) + self.scale) * e
-        if self.kind == "weight":
-            theta_hat = np.asarray(theta_hat, dtype=float)
-            return (self.quad_weight * float(theta_hat @ theta_hat) + self.scale) * e
-        return np.asarray(self.mu_fn(x, theta_hat, e), dtype=float)
+        theta_hat = np.asarray(theta_hat, dtype=float)
+        return (self.quad_weight * float(theta_hat @ theta_hat) + self.scale) * e
 
     @staticmethod
     def temperature(e: np.ndarray, mu: np.ndarray) -> float:
         """Scalar temperature ``max(e . mu, 0)`` from the law's ``mu`` at ``e``.
 
-        Nonnegative by design for the built-in laws; the clamp only guards
-        floating-point round-off (and ill-behaved custom laws).
+        Nonnegative by design for every law; the clamp only guards
+        floating-point round-off.
         """
         return max(float(e @ mu), 0.0)
-
-    def mu_jacobian(self, x: np.ndarray, theta_hat: np.ndarray, e: np.ndarray) -> np.ndarray:
-        """Jacobian of ``mu`` with respect to the weights, shape (n, p)."""
-        e = np.asarray(e, dtype=float)
-        theta_hat = np.asarray(theta_hat, dtype=float)
-        if self.kind in ("error", "state"):
-            return np.zeros((e.size, theta_hat.size))
-        if self.kind == "weight":
-            return 2.0 * self.quad_weight * np.outer(e, theta_hat)
-        return np.asarray(self.mu_jacobian_fn(x, theta_hat, e), dtype=float)
 
     def mu_jacobian_applied(
         self, x: np.ndarray, theta_hat: np.ndarray, e: np.ndarray
     ) -> np.ndarray:
-        """The contraction ``mu_jacobian(...).T @ e`` without forming the matrix."""
+        """Weight gradient of ``e . mu`` at fixed ``e``, ``(d mu / d theta).T @ e``.
+
+        Computed without forming the (n, p) Jacobian of ``mu``.
+        """
         e = np.asarray(e, dtype=float)
         theta_hat = np.asarray(theta_hat, dtype=float)
         if self.kind in ("error", "state"):
             return np.zeros(theta_hat.size)
-        if self.kind == "weight":
-            return (2.0 * self.quad_weight * float(e @ e)) * theta_hat
-        return np.asarray(self.mu_jacobian_fn(x, theta_hat, e), dtype=float).T @ e
+        return (2.0 * self.quad_weight * float(e @ e)) * theta_hat
 
 
 def internal_energy(e, e_dot, theta_hat, forgetting_factor: float) -> float:
@@ -179,34 +155,3 @@ def diffusion_coefficient(gains: Gains, temperature: float) -> float:
     increment (scalar-times-identity diffusion).
     """
     return float(np.sqrt(gains.diffusion_gain * temperature))
-
-
-def validate_custom_law(
-    law: TemperatureLaw,
-    n: int,
-    p: int,
-    rng: RandomSource,
-    samples: int = 10,
-    tol: float = 1e-4,
-) -> float:
-    """Cross-check a law's Jacobian against finite differences of its mu.
-
-    Draws random (x, theta, e) triples and compares. Emits a warning when
-    the worst absolute mismatch exceeds ``tol``; returns that mismatch.
-    """
-    worst = 0.0
-    for _ in range(samples):
-        x = rng.standard_normal(n)
-        theta = rng.standard_normal(p)
-        e = rng.standard_normal(n)
-        analytic = law.mu_jacobian(x, theta, e)
-        numeric = finite_diff_jacobian(lambda th: law.mu(x, th, e), theta, h=1e-6)
-        worst = max(worst, float(np.max(np.abs(analytic - numeric))))
-    if worst > tol:
-        warnings.warn(
-            f"temperature-law Jacobian disagrees with finite differences "
-            f"(max abs error {worst:.3g})",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    return worst

@@ -332,6 +332,37 @@ def test_run_small_ball_exit_2_writes_nothing(tmp_path, capsys):
         assert not out.exists()
 
 
+# each edit puts a seed outside the 64-bit range the random streams accept
+@pytest.mark.parametrize("edit", [
+    lambda text: text.replace("seeds = 2", "seeds = -1,2"),
+    lambda text: text + "[offtrajectory]\nseed = -5\n",
+], ids=["seeds", "offtrajectory.seed"])
+def test_out_of_range_seed_exit_2_writes_nothing(tmp_path, capsys, edit):
+    out = tmp_path / "out"
+    path = write_config(tmp_path, edit(FAST_OVERRIDES.format(out=out)))
+    for command in (["validate"], ["run", "--workers", "2"]):
+        assert main([*command, "--config", str(path)]) == 2
+        assert "64-bit unsigned integer" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_out_of_range_seed_override_exit_2(tmp_path, capsys):
+    out = tmp_path / "out"
+    for workers in ("1", "2"):
+        argv = ["run", "--seeds=-1..2", "--out", str(out), "--workers", workers]
+        assert main(argv) == 2
+        assert "got -1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_repeated_seeds_rejected(tmp_path, capsys):
+    with pytest.raises(ConfigError, match="seeds must not repeat"):
+        load_config(write_config(tmp_path, "[experiment]\nseeds = 1,1\n"))
+    assert main(["run", "--seeds", "1,1", "--out", str(tmp_path / "out")]) == 2
+    assert "seeds must not repeat" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_run_and_summarize_cli(tmp_path, capsys):
     cfg_path = write_config(
         tmp_path,

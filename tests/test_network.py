@@ -4,18 +4,16 @@ import numpy as np
 import pytest
 
 from thermoadapt import (
+    ACTIVATIONS,
     Network,
-    NetworkEvaluator,
     NetworkShape,
     RandomSource,
     finite_diff_jacobian,
     he_init,
     load_theta,
-    measure_activation_bounds,
     save_theta,
     swish,
     swish_prime,
-    swish_second,
 )
 
 BENCH_SHAPE = NetworkShape(input_size=5, hidden_sizes=(10,) * 9, output_size=5)
@@ -144,25 +142,20 @@ def test_swish_derivatives_match_finite_differences():
     ys = np.linspace(-6.0, 6.0, 25)
     h = 1e-6
     d1 = (swish(ys + h) - swish(ys - h)) / (2 * h)
-    d2 = (swish_prime(ys + h) - swish_prime(ys - h)) / (2 * h)
     assert np.allclose(swish_prime(ys), d1, atol=1e-9)
-    assert np.allclose(swish_second(ys), d2, atol=1e-9)
 
 
 def test_swish_bounds_on_grid():
-    bounds = measure_activation_bounds(50.0, 1e-4)
-    assert bounds.a1 == 1.0
-    assert bounds.a0 >= 0.0
-    assert abs(bounds.b0 - 1.0998) < 2e-4  # sup |swish'|
-    assert 0.0 < bounds.c0 < 1.0
-    grid = np.arange(-50.0, 50.0001, 1e-3)
-    assert np.all(np.abs(swish(grid)) <= bounds.a1 * np.abs(grid) + bounds.a0 + 1e-12)
+    grid = np.arange(-50.0, 50.0001, 1e-4)
+    assert abs(np.max(np.abs(swish_prime(grid))) - 1.0998) < 2e-4  # sup |swish'|
+    assert np.all(np.abs(swish(grid)) <= np.abs(grid))
 
 
 def test_linear_stub_bounds():
-    bounds = measure_activation_bounds(10.0, 1e-3, activation="linear")
-    assert bounds.b0 == pytest.approx(1.0)
-    assert bounds.c0 == pytest.approx(0.0)
+    act, slope = ACTIVATIONS["linear"]
+    grid = np.arange(-10.0, 10.0001, 1e-3)
+    assert np.array_equal(act(grid), grid)
+    assert np.array_equal(slope(grid), np.ones_like(grid))
 
 
 # -- weight jacobian -----------------------------------------------------------
@@ -237,27 +230,6 @@ def test_taylor_remainder_quadratic_scaling():
         slope = np.polyfit(np.log(scales), np.log(remainders), 1)[0]
         slopes.append(slope)
     assert abs(np.mean(slopes) - 2.0) <= 0.1
-
-
-def test_evaluator_matches_public_ops():
-    rng = RandomSource(44)
-    for _ in range(5):
-        shape = random_shape(rng)
-        net = he_init(shape, rng)
-        x = rng.standard_normal(shape.input_size)
-        ev = NetworkEvaluator(shape)
-        out, jac = ev.evaluate(net.theta, x)
-        assert np.array_equal(out, net.forward(x))
-        assert np.array_equal(jac, net.weight_jacobian(x))
-
-
-def test_evaluator_benchmark_shape():
-    net = he_init(BENCH_SHAPE, RandomSource(17))
-    x = np.array([0.1, -0.2, 0.3, 0.0, -0.1])
-    ev = NetworkEvaluator(BENCH_SHAPE)
-    out, jac = ev.evaluate(net.theta, x)
-    assert np.array_equal(out, net.forward(x))
-    assert np.array_equal(jac, net.weight_jacobian(x))
 
 
 # -- serialization ---------------------------------------------------------------

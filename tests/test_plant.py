@@ -9,12 +9,10 @@ from thermoadapt import (
     NetworkShape,
     RandomSource,
     TemperatureLaw,
-    X0_DEFAULT,
     control_input,
     desired,
     he_init,
     plant_drift,
-    tracking_error,
 )
 
 # Per-component amplitude bounds of the desired trajectory and its rate.
@@ -65,26 +63,6 @@ def test_desired_bounds_hold_on_horizon():
         assert np.linalg.norm(rate) <= np.linalg.norm(DESIRED_RATE_BOUNDS) + 1e-12
 
 
-def test_tracking_error_zero_on_trajectory():
-    for t in (0.0, 1.7, 12.3):
-        x, _ = desired(t)
-        assert np.allclose(tracking_error(x, t), np.zeros(5), atol=0.0)
-
-
-def test_tracking_error_initial_condition():
-    err = tracking_error(X0_DEFAULT, 0.0)
-    assert np.allclose(err, [0.0, 0.0, 2.0, -2.0, 3.0])
-
-
-def test_tracking_error_linearity():
-    x = np.array([0.1, 0.2, 0.3, 0.4, 0.5])
-    delta = np.array([1.0, -1.0, 0.5, 0.0, 2.0])
-    t = 3.3
-    assert np.allclose(
-        tracking_error(x + delta, t) - tracking_error(x, t), delta, atol=1e-14
-    )
-
-
 # -- controller -------------------------------------------------------------------
 
 
@@ -95,8 +73,8 @@ def zero_network():
 
 def controller(net, law, gains, x, theta, t):
     """Control input at state ``x`` and time ``t`` with weights ``theta``."""
-    _, rate = desired(t)
-    e = tracking_error(x, t)
+    xd, rate = desired(t)
+    e = x - xd
     phi = net.with_theta(theta).forward(x)
     return control_input(gains, rate, e, phi, law.mu(x, theta, e))
 
@@ -120,8 +98,8 @@ def test_controller_baseline_when_diffusion_off():
     law = TemperatureLaw(kind="error")
     t = 1.0
     x = rng.standard_normal(5)
-    e = tracking_error(x, t)
-    _, rate = desired(t)
+    xd, rate = desired(t)
+    e = x - xd
     u = controller(net, law, gains, x, net.theta, t)
     expected = rate - gains.control_gain * e - net.forward(x)
     assert np.allclose(u, expected, atol=1e-12)
@@ -138,9 +116,9 @@ def test_closed_loop_error_identity():
         t = 4.2
         x = rng.standard_normal(5)
         theta = net.theta
-        e = tracking_error(x, t)
+        xd, rate = desired(t)
+        e = x - xd
         u = controller(net, law, gains, x, theta, t)
-        _, rate = desired(t)
         x_dot = plant_drift(x) + u  # identity effectiveness
         lhs = x_dot - rate
         rhs = (

@@ -1,5 +1,7 @@
 """Integrator behavior: determinism, reductions, logging, and metrics."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -22,7 +24,7 @@ from thermoadapt import (
 FAST = ExperimentConfig(horizon=2.0, hidden_layers=2, hidden_width=8, log_stride=5)
 
 # every step logged, with a nonzero reference for the Lyapunov proxy
-ROWS = FAST.with_updates(horizon=0.2, log_stride=1)
+ROWS = replace(FAST, horizon=0.2, log_stride=1)
 ROWS_THETA_REF = 0.5 * ROWS.initial_theta()
 
 
@@ -44,7 +46,7 @@ def test_run_is_deterministic(fast_s2_log):
 
 
 def test_step_deterministic():
-    one = FAST.with_updates(horizon=FAST.dt, log_stride=1)
+    one = replace(FAST, horizon=FAST.dt, log_stride=1)
     a, b = run(one, "S2", 5), run(one, "S2", 5)
     assert np.array_equal(a.states, b.states)
     assert np.array_equal(a.final_theta, b.final_theta)
@@ -104,7 +106,7 @@ def test_last_row_follows_from_final_theta(row_logs):
 
 def test_step_reduces_to_projected_gradient_when_diffusion_off():
     # one S1 step: theta+ = theta0 + lr dt proj(theta0, drift), x+ = x0 + (f + u) dt
-    cfg = FAST.with_updates(horizon=FAST.dt, log_stride=1)
+    cfg = replace(FAST, horizon=FAST.dt, log_stride=1)
     log = run(cfg, "S1", 1)
     ball, gains, law = cfg.ball(), cfg.gains_for("S1"), cfg.law_for("S1")
     assert gains.diffusion_gain == 0.0
@@ -123,11 +125,11 @@ def test_step_reduces_to_projected_gradient_when_diffusion_off():
 def test_step_rejects_nonpositive_dt():
     for dt in (0.0, -1e-3):
         with pytest.raises(ValueError, match="dt"):
-            FAST.with_updates(dt=dt)
+            replace(FAST, dt=dt)
 
 
 def test_zero_horizon_logs_initial_state_only():
-    cfg = FAST.with_updates(horizon=0.0)
+    cfg = replace(FAST, horizon=0.0)
     log = run(cfg, "S1", 0)
     assert log.times.size == 1
     assert log.n_states == 1
@@ -147,7 +149,7 @@ def test_late_window_nan_for_short_horizon(fast_s2_log):
 
 
 def test_divergence_raises_with_partial_log():
-    cfg = FAST.with_updates(dt=0.5, horizon=5.0)  # way past explicit-Euler stability
+    cfg = replace(FAST, dt=0.5, horizon=5.0)  # way past explicit-Euler stability
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(DivergenceError) as excinfo:
             run(cfg, "S1", 0)
@@ -181,8 +183,8 @@ def test_temperature_bounded_by_error_envelope():
 
 def test_step_size_self_consistency():
     # deterministic run: halving dt moves the tracking RMS by well under 2%
-    base = FAST.with_updates(horizon=10.0)
-    fine = base.with_updates(dt=base.dt / 2)
+    base = replace(FAST, horizon=10.0)
+    fine = replace(base, dt=base.dt / 2)
     rms = []
     for cfg in (base, fine):
         log = run(cfg, "S1", 0)
@@ -223,9 +225,7 @@ def test_metrics_test_points_reproducible(fast_s2_log):
 
 
 def test_metrics_rejects_empty_log(fast_s2_log):
-    import dataclasses
-
-    empty = dataclasses.replace(fast_s2_log, n_states=0)
+    empty = replace(fast_s2_log, n_states=0)
     with pytest.raises(ValueError):
         metrics(empty, _PerfectModel(), RandomSource(0))
 
@@ -238,10 +238,10 @@ def test_unknown_scenario_rejected():
 def test_projection_clip_counted():
     # a ball that does not hold the initial weights is rejected up front
     with pytest.raises(ValueError, match="radius 0.5 .*norm is 6.18"):
-        FAST.with_updates(ball_radius=0.5, ball_layer=0.01)
+        replace(FAST, ball_radius=0.5, ball_layer=0.01)
     # a shell right at the initial norm with a thin layer forces clips
     radius = float(np.linalg.norm(FAST.initial_theta()))
-    cfg = FAST.with_updates(horizon=0.3, ball_radius=radius, ball_layer=1e-3, log_stride=1)
+    cfg = replace(FAST, horizon=0.3, ball_radius=radius, ball_layer=1e-3, log_stride=1)
     log = run(cfg, "S2", 0)
     assert log.clip_count > 0
     assert int(log.clip_flags.sum()) == log.clip_count
