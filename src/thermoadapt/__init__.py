@@ -25,12 +25,10 @@ from .network import (
     NetworkEvaluator,
     NetworkShape,
     he_init,
-    load_theta,
-    save_theta,
     swish,
     swish_prime,
 )
-from .numerics import RandomSource, finite_diff_jacobian, wiener_increment
+from .numerics import RandomSource, wiener_increment
 from .plant import (
     STATE_DIM,
     X0_DEFAULT,
@@ -55,7 +53,6 @@ from .thermo import (
     TemperatureLaw,
     diffusion_coefficient,
     drift,
-    internal_energy,
 )
 
 __version__ = "0.1.0"

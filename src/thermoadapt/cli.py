@@ -45,7 +45,6 @@ __all__ = [
     "SummaryTable",
     "build_summary",
     "print_summary",
-    "summary_from_csv",
     "main",
 ]
 
@@ -364,25 +363,12 @@ def _record(obj) -> dict:
             for k, v in rec.items()}
 
 
-# Converters for field annotations other than plain strings.
-_FIELD_PARSERS = {"int": int, "bool": bool, "float": float, "Optional[float]": float}
-
-
 def _from_record(cls, rec: dict):
-    """Inverse of :func:`_record`; also reads the text of a summary CSV row.
-
-    A null or empty value reads as NaN for a ``float`` field and as None
-    for any other.
-    """
-    kwargs = {}
-    for f in fields(cls):
-        v = rec[f.name]
-        if v is None or v == "":
-            v = float("nan") if f.type == "float" else None
-        elif f.type in _FIELD_PARSERS:
-            v = _FIELD_PARSERS[f.type](v)
-        kwargs[f.name] = v
-    return cls(**kwargs)
+    """Inverse of :func:`_record`: a null reads as NaN for a ``float`` field."""
+    return cls(**{
+        f.name: float("nan") if rec[f.name] is None and f.type == "float" else rec[f.name]
+        for f in fields(cls)
+    })
 
 
 def _fmt_opt(value: Optional[float], fmt: str = ".17g") -> str:
@@ -436,16 +422,6 @@ def print_summary(table: SummaryTable, fmt: str = "text") -> str:
             lines.append(json.dumps(_record(r), sort_keys=True))
         return "\n".join(lines) + "\n"
     raise ValueError(f"unknown summary format {fmt!r}")
-
-
-def summary_from_csv(text: str) -> SummaryTable:
-    """Parse a table rendered by ``print_summary(..., fmt='csv')``."""
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or lines[0].split(",") != _SUMMARY_FIELDS:
-        raise ValueError("not a summary CSV")
-    rows = [_from_record(ScenarioSummary, dict(zip(_SUMMARY_FIELDS, ln.split(","))))
-            for ln in lines[1:]]
-    return SummaryTable(rows=tuple(rows))
 
 
 # ---------------------------------------------------------------------------

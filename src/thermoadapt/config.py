@@ -109,8 +109,12 @@ class ExperimentConfig:
         # The components check their own parameters; S2 has exploration on,
         # so its gains include the configured diffusion gain.
         self.gains_for("S2")
-        for seed in (*self.seeds, self.offtraj_seed):
-            RandomSource(seed)
+        seed_keys = [("seeds", s) for s in self.seeds] + [("offtraj_seed", self.offtraj_seed)]
+        for key, seed in seed_keys:
+            try:
+                RandomSource(seed)
+            except ValueError as exc:
+                raise ValueError(f"{key}: {exc}") from None
         ball = self.ball()
         theta0 = self.initial_theta()
         if ball.classify(theta0) is Membership.OUTSIDE:

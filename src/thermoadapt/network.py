@@ -1,4 +1,4 @@
-"""Fully-connected feedforward network with an analytic weight Jacobian.
+"""Fully-connected feedforward network and its weight vector-Jacobian product.
 
 The network maps an input through ``k`` hidden layers. Every layer input is
 augmented with a trailing 1 so biases live in the last row of each weight
@@ -11,14 +11,18 @@ and the output is ``h_k`` (no activation or bias on the output layer).
 The flat weight vector concatenates ``vec(V_1) .. vec(V_{k+1})`` using
 column-major (Fortran) vectorization within each matrix.
 
-The Jacobian of the output with respect to the flat weight vector is built
-from the layer-by-layer product rule rather than autodiff; a central
-finite-difference oracle in the test suite pins it down.
+The simulator needs the weight Jacobian J only through ``J.T @ e``. That
+product comes from one reverse sweep (reverse-mode differentiation): the
+cotangent ``e`` of the output is pulled back layer by layer, and each
+layer's weight gradient is the outer product of its augmented input with
+the cotangent of its output. The full Jacobian is the same sweep with unit
+cotangents; a central finite-difference oracle in the test suite pins it
+down.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -34,8 +38,6 @@ __all__ = [
     "Network",
     "NetworkEvaluator",
     "he_init",
-    "save_theta",
-    "load_theta",
 ]
 
 
@@ -97,10 +99,6 @@ class NetworkShape:
             raise ValueError(f"unknown activation {self.activation!r}")
 
     @property
-    def hidden_layer_count(self) -> int:
-        return len(self.hidden_sizes)
-
-    @property
     def layer_sizes(self) -> tuple[int, ...]:
         return (self.input_size, *self.hidden_sizes, self.output_size)
 
@@ -140,28 +138,6 @@ class Network:
             )
         object.__setattr__(self, "theta", theta)
 
-    @classmethod
-    def from_matrices(cls, matrices, activation: str = "swish") -> "Network":
-        """Build from per-layer matrices (biases in the last row of each)."""
-        matrices = [np.asarray(m, dtype=float) for m in matrices]
-        hidden = tuple(m.shape[1] for m in matrices[:-1])
-        shape = NetworkShape(
-            input_size=matrices[0].shape[0] - 1,
-            hidden_sizes=hidden,
-            output_size=matrices[-1].shape[1],
-            activation=activation,
-        )
-        expected = shape.matrix_shapes
-        for m, exp in zip(matrices, expected):
-            if m.shape != exp:
-                raise ValueError(f"matrix shape {m.shape} does not chain, expected {exp}")
-        theta = np.concatenate([m.reshape(-1, order="F") for m in matrices])
-        return cls(shape=shape, theta=theta)
-
-    def with_theta(self, theta: np.ndarray) -> "Network":
-        """Same shape, different weights."""
-        return replace(self, theta=theta)
-
     def weight_matrices(self) -> list[np.ndarray]:
         """Views of the flat vector as per-layer matrices (column-major)."""
         return [
@@ -171,85 +147,87 @@ class Network:
 
     def _check_input(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        if x.shape != (self.shape.input_size,):
+        if x.ndim not in (1, 2) or x.shape[-1] != self.shape.input_size:
             raise ValueError(
-                f"input has shape {x.shape}, expected ({self.shape.input_size},)"
+                f"input has shape {x.shape}, expected ({self.shape.input_size},) "
+                f"or (rows, {self.shape.input_size})"
             )
         return x
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        """Evaluate the network at input ``x``, by :class:`NetworkEvaluator`."""
-        out, _ = NetworkEvaluator(self.shape).evaluate(self.theta, self._check_input(x))
-        return out.copy()
+        """Network output at input ``x``, or at each row of a 2-D ``x``.
+
+        Rows are evaluated independently: each output row equals the output
+        at that row alone, bit for bit.
+        """
+        x = self._check_input(x)
+        rows = np.atleast_2d(x)
+        out, _ = NetworkEvaluator(self.shape).evaluate(
+            self.theta, rows, np.zeros((rows.shape[0], self.shape.output_size))
+        )
+        return out if x.ndim == 2 else out[0]
 
     def weight_jacobian(self, x: np.ndarray) -> np.ndarray:
-        """Jacobian of the output with respect to the flat weight vector.
+        """Jacobian of the output at one input ``x`` with respect to the weights.
 
-        Blocks are ordered like the weight layout, one block per layer.
-        Computed by :class:`NetworkEvaluator`, the path the simulator runs.
+        Row i is the pull-back of the i-th unit vector, so this is the
+        simulator's vector-Jacobian product taken once per output.
         """
-        return NetworkEvaluator(self.shape).evaluate(self.theta, self._check_input(x))[1]
+        x = self._check_input(x).reshape(self.shape.input_size)
+        n_out = self.shape.output_size
+        return NetworkEvaluator(self.shape).evaluate(
+            self.theta, np.tile(x, (n_out, 1)), np.eye(n_out)
+        )[1]
 
 
 class NetworkEvaluator:
-    """Reusable forward+Jacobian evaluator with preallocated buffers.
+    """The one implementation of the forward pass and of the weight derivative.
 
-    The one implementation of the forward pass and of the weight Jacobian;
-    ``Network.forward`` and ``Network.weight_jacobian`` wrap it. It avoids
-    per-call allocation, for use in tight integration loops. The arrays
-    returned by :meth:`evaluate` are views into internal buffers and are
-    overwritten by the next call; copy them to persist.
-
-    The Jacobian comes from a reverse sweep over the layers. The bias entry
-    of each augmented layer has zero derivative, so each activation
-    Jacobian is the diagonal of slopes above a zero row; that zero row drops
-    out of the chained products.
+    ``Network.forward`` and ``Network.weight_jacobian`` wrap it, and the
+    simulator calls it once per step. Every product is a stacked matmul over
+    the rows, so a row's result does not depend on the other rows.
     """
 
     def __init__(self, shape: NetworkShape):
         self.shape = shape
         self._act, self._act_prime = ACTIVATIONS[shape.activation]
-        sizes = shape.layer_sizes
-        self._k = shape.hidden_layer_count
-        self._segments = shape.segments
-        self._matrix_shapes = shape.matrix_shapes
-        self._jac = np.empty((shape.output_size, shape.param_count))
-        self._inputs = [np.empty(sizes[j] + 1) for j in range(self._k + 1)]
-        for u in self._inputs:
-            u[-1] = 1.0
-        self._slopes = [np.empty(sizes[j]) for j in range(1, self._k + 1)]
-        self._eye = np.eye(shape.output_size)
+        self._layers = tuple(zip(shape.segments, shape.matrix_shapes))
 
-    def evaluate(self, theta: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Return (output, jacobian) of the network with weights ``theta``."""
-        shape = self.shape
-        mats = [
-            theta[a:b].reshape(ms, order="F")
-            for (a, b), ms in zip(self._segments, self._matrix_shapes)
-        ]
-        k = self._k
-        inputs = self._inputs
-        inputs[0][:-1] = x
-        h = mats[0].T @ inputs[0]
-        for j in range(1, k + 1):
-            self._slopes[j - 1][:] = self._act_prime(h)
-            inputs[j][:-1] = self._act(h)
-            h = mats[j].T @ inputs[j]
+    def evaluate(
+        self, theta: np.ndarray, X: np.ndarray, E: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Outputs ``Phi`` (B, n_out) at the rows of ``X`` (B, n_in) and the
+        products ``J(x_b).T @ E[b]`` (B, p), for weights ``theta`` (p,).
 
-        out_size = shape.output_size
-        jac = self._jac
-        prefix = self._eye
-        a, b = self._segments[k]
-        rows = self._matrix_shapes[k][0]
-        blk = jac[:, a:b].reshape(out_size, -1, rows)
-        np.multiply(prefix[:, :, None], inputs[k][None, None, :], out=blk)
-        for j in range(k - 1, -1, -1):
-            prefix = prefix @ (mats[j + 1][:-1, :].T * self._slopes[j][None, :])
-            a, b = self._segments[j]
-            rows = self._matrix_shapes[j][0]
-            blk = jac[:, a:b].reshape(out_size, -1, rows)
-            np.multiply(prefix[:, :, None], inputs[j][None, None, :], out=blk)
-        return h, jac
+        One forward pass keeps each layer's augmented input and activation
+        slopes; one reverse sweep then pulls ``E`` back through the layers.
+        The gradient of layer j's matrix is the outer product of its input
+        with the cotangent of its output.
+        """
+        rows = X.shape[0]
+        mats = [theta[a:b].reshape(ms, order="F") for (a, b), ms in self._layers]
+        u = np.empty((rows, 1, X.shape[1] + 1))
+        u[:, 0, :-1] = X
+        u[..., -1] = 1.0
+        inputs, slopes = [u], []
+        h = u @ mats[0]
+        for m in mats[1:]:
+            slopes.append(self._act_prime(h).transpose(0, 2, 1))
+            u = np.empty((rows, 1, m.shape[0]))
+            u[..., :-1] = self._act(h)
+            u[..., -1] = 1.0
+            inputs.append(u)
+            h = u @ m
+
+        jte = np.empty((rows, theta.size))
+        g = E[:, :, None]
+        for j in range(len(mats) - 1, -1, -1):
+            (a, b), (fan_in, fan_out) = self._layers[j]
+            # Column-major block of layer j, viewed as (rows, fan_out, fan_in).
+            np.multiply(g, inputs[j], out=jte[:, a:b].reshape(rows, fan_out, fan_in))
+            if j:
+                g = (mats[j][:-1] @ g) * slopes[j - 1]
+        return h[:, 0], jte
 
 
 def he_init(shape: NetworkShape, rng: RandomSource) -> Network:
@@ -262,22 +240,3 @@ def he_init(shape: NetworkShape, rng: RandomSource) -> Network:
     for (a, b), (rows, _) in zip(shape.segments, shape.matrix_shapes):
         theta[a:b] *= np.sqrt(2.0 / rows)
     return Network(shape=shape, theta=theta)
-
-
-def save_theta(path, theta: np.ndarray) -> None:
-    """Write a flat weight vector as text, one value per line.
-
-    Order is the network layout: first layer's matrix first, column-major
-    within each matrix. Values round-trip exactly (17 significant digits).
-    """
-    theta = np.asarray(theta, dtype=float)
-    with open(path, "w", encoding="ascii") as fh:
-        for v in theta:
-            fh.write(f"{v:.17g}\n")
-
-
-def load_theta(path) -> np.ndarray:
-    """Read a flat weight vector written by :func:`save_theta`."""
-    with open(path, "r", encoding="ascii") as fh:
-        values = [float(line) for line in fh if line.strip()]
-    return np.asarray(values, dtype=float)

@@ -1,4 +1,4 @@
-"""Seeded randomness, Wiener increments, and dense-array test helpers.
+"""Seeded randomness and Wiener increments.
 
 All arithmetic is 64-bit floating point. Random streams come from numpy's
 PCG64 generator (normal variates via the ziggurat method), so a fixed seed
@@ -8,14 +8,12 @@ reproduces the same stream on every platform.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
 __all__ = [
     "RandomSource",
     "wiener_increment",
-    "finite_diff_jacobian",
 ]
 
 
@@ -60,27 +58,3 @@ def wiener_increment(rng: RandomSource, p: int, dt: float) -> np.ndarray:
     if p < 1:
         raise ValueError(f"dimension must be >= 1, got {p}")
     return rng.standard_normal(p) * np.sqrt(dt)
-
-
-def finite_diff_jacobian(
-    f: Callable[[np.ndarray], np.ndarray],
-    at: np.ndarray,
-    h: float = 1e-6,
-) -> np.ndarray:
-    """Central-difference Jacobian of a vector function, used as a test oracle.
-
-    Entry (i, j) is ``(f_i(at + h e_j) - f_i(at - h e_j)) / (2 h)``.
-    """
-    if h <= 0.0:
-        raise ValueError(f"step must be positive, got {h}")
-    at = np.asarray(at, dtype=float)
-    f0 = np.atleast_1d(np.asarray(f(at), dtype=float))
-    jac = np.empty((f0.size, at.size))
-    for j in range(at.size):
-        hi = at.copy()
-        lo = at.copy()
-        hi[j] += h
-        lo[j] -= h
-        jac[:, j] = (np.atleast_1d(np.asarray(f(hi), dtype=float))
-                     - np.atleast_1d(np.asarray(f(lo), dtype=float))) / (2.0 * h)
-    return jac

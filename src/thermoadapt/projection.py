@@ -51,9 +51,6 @@ class ConvexBall:
         theta = np.asarray(theta, dtype=float)
         return float(theta @ theta - self.radius * self.radius)
 
-    def boundary_grad(self, theta: np.ndarray) -> np.ndarray:
-        return 2.0 * np.asarray(theta, dtype=float)
-
     def classify(self, theta: np.ndarray) -> Membership:
         """Which part of the layered region the point is in."""
         v = self.boundary_fn(theta)

@@ -185,11 +185,11 @@ def run(
         )
 
     while True:
-        # Per-state quantities, logged and used by the step. phi and jac are
-        # views into the evaluator's buffers, valid until its next call.
-        phi, jac = evaluator.evaluate(theta, x)
+        # Per-state quantities, logged and used by the step.
         xd, xd_rate = desired(t)
         e = x - xd
+        phi, jte = evaluator.evaluate(theta, x[None], e[None])
+        phi, jte = phi[0], jte[0]
         mu = law.mu(x, theta, e)
         temp = law.temperature(e, mu)
         intensity = diffusion_coefficient(gains, temp)
@@ -228,7 +228,7 @@ def run(
 
         # Euler-Maruyama update; both projections are taken at the pre-step weights.
         x_new = x + (f_val + control_input(gains, xd_rate, e, phi, mu)) * dt
-        rho = drift(law, gains, jac, x, theta, e)
+        rho = drift(law, gains, jte, x, theta, e)
         theta_new = theta + (gains.learning_rate * dt) * ball.project(theta, rho)
         if gains.diffusion_gain > 0.0:
             dw = wiener_increment(rng, theta.size, dt)
@@ -260,15 +260,17 @@ def metrics(
     Tracking and on-trajectory function errors are RMS values over every
     integration step (not just the decimated rows). The off-trajectory
     error evaluates the final weights on ``count`` random points with
-    coordinates uniform on ``[low, high)`` drawn from ``rng``; pass a
-    freshly seeded source to share the test set across runs.
+    coordinates uniform on ``[low, high)`` drawn from ``rng``, in one
+    forward call over the rows of the point array; pass a freshly seeded
+    source to share the test set across runs.
     """
     if log.n_states < 1:
         raise ValueError("metrics requires a non-empty log")
     points = rng.uniform(low, high, (count, STATE_DIM))
+    model = net_final.forward(points)
     off_sq = 0.0
-    for pt in points:
-        diff = plant_drift(pt) - net_final.forward(pt)
+    for pt, phi in zip(points, model):
+        diff = plant_drift(pt) - phi
         off_sq += float(diff @ diff)
     return MetricsReport(
         rms_error=float(np.sqrt(log.sum_error_sq / log.n_states)),

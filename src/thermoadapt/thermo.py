@@ -27,7 +27,6 @@ import numpy as np
 __all__ = [
     "Gains",
     "TemperatureLaw",
-    "internal_energy",
     "drift",
     "diffusion_coefficient",
 ]
@@ -119,18 +118,10 @@ class TemperatureLaw:
         return (2.0 * self.quad_weight * float(e @ e)) * theta_hat
 
 
-def internal_energy(e, e_dot, theta_hat, forgetting_factor: float) -> float:
-    """Generalized internal energy ``e . e_dot + forgetting/2 |theta|^2``."""
-    e = np.asarray(e, dtype=float)
-    e_dot = np.asarray(e_dot, dtype=float)
-    theta_hat = np.asarray(theta_hat, dtype=float)
-    return float(e @ e_dot) + 0.5 * forgetting_factor * float(theta_hat @ theta_hat)
-
-
 def drift(
     law: TemperatureLaw,
     gains: Gains,
-    jac: np.ndarray,
+    jte: np.ndarray,
     x: np.ndarray,
     theta_hat: np.ndarray,
     e: np.ndarray,
@@ -138,12 +129,12 @@ def drift(
     """Deterministic part of the weight update, before projection.
 
     Equals the negative weight-gradient of the closed-loop internal energy:
-    the approximation-error pull ``J.T e`` (``jac`` is the network's weight
-    Jacobian at ``x``), the temperature-coupling correction, and the
-    forgetting pull toward zero.
+    the approximation-error pull ``jte = J.T e`` (``J`` is the network's
+    weight Jacobian at ``x``, the product comes from
+    ``NetworkEvaluator.evaluate``), the temperature-coupling correction, and
+    the forgetting pull toward zero.
     """
-    rho = jac.T @ e
-    rho += gains.thermal_coeff * law.mu_jacobian_applied(x, theta_hat, e)
+    rho = jte + gains.thermal_coeff * law.mu_jacobian_applied(x, theta_hat, e)
     rho -= gains.forgetting_factor * theta_hat
     return rho
 

@@ -22,14 +22,15 @@ from thermoadapt import (
     LyapunovConstants,
     NetworkShape,
     RandomSource,
+    Network,
     escape_risk,
-    finite_diff_jacobian,
     he_init,
     lyapunov_value,
     run,
     wiener_increment,
 )
 from thermoadapt.cli import run_batch
+from oracles import finite_diff_jacobian
 
 BATTERY_SEEDS = 100
 TREND_SEEDS = 30
@@ -92,7 +93,7 @@ def test_criterion_1_jacobian_oracle():
         x = rng.standard_normal(shape.input_size)
         jac = net.weight_jacobian(x)
         ref = finite_diff_jacobian(
-            lambda th: net.with_theta(th).forward(x), net.theta, h=1e-6
+            lambda th: Network(shape, th).forward(x), net.theta, h=1e-6
         )
         worst = max(worst, float(np.max(np.abs(jac - ref)) / max(np.max(np.abs(ref)), 1e-12)))
     elapsed = time.perf_counter() - t0
@@ -118,7 +119,7 @@ def test_criterion_2_taylor_remainder_slope():
         base = net.forward(x)
         jac = net.weight_jacobian(x)
         remainder = [
-            np.linalg.norm(net.with_theta(net.theta + s * d).forward(x) - base - jac @ (s * d))
+            np.linalg.norm(Network(shape, net.theta + s * d).forward(x) - base - jac @ (s * d))
             for s in scales
         ]
         slopes.append(np.polyfit(np.log(scales), np.log(remainder), 1)[0])

@@ -1,6 +1,7 @@
 """Config parsing, experiment driver artifacts, and the summary table."""
 
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -9,13 +10,13 @@ from thermoadapt import ExperimentConfig
 from thermoadapt.cli import (
     ConfigError,
     RunResult,
+    ScenarioSummary,
     build_summary,
     load_config,
     main,
     parse_seed_spec,
     print_summary,
     run_experiment,
-    summary_from_csv,
 )
 
 # benchmark-default gains but a small fast network for driver tests
@@ -225,9 +226,18 @@ def test_summary_text_baseline_row_zero(experiment_out):
 
 
 def test_summary_csv_roundtrip(experiment_out):
+    # every field of every row reads back exactly; None is an empty cell
     _, table, _, _ = experiment_out
-    rendered = print_summary(table, "csv")
-    assert summary_from_csv(rendered) == table
+    header, *lines = print_summary(table, "csv").splitlines()
+    assert header.split(",") == [f.name for f in fields(ScenarioSummary)]
+    assert len(lines) == len(table.rows)
+    for line, row in zip(lines, table.rows):
+        for name, text in zip(header.split(","), line.split(",")):
+            value = getattr(row, name)
+            if value is None:
+                assert text == ""
+            else:
+                assert type(value)(text) == value
 
 
 def test_summary_jsonl_parses(experiment_out):
@@ -332,17 +342,20 @@ def test_run_small_ball_exit_2_writes_nothing(tmp_path, capsys):
         assert not out.exists()
 
 
-# each edit puts a seed outside the 64-bit range the random streams accept
-@pytest.mark.parametrize("edit", [
-    lambda text: text.replace("seeds = 2", "seeds = -1,2"),
-    lambda text: text + "[offtrajectory]\nseed = -5\n",
+# each edit puts a seed outside the 64-bit range the random streams accept;
+# the error names the config field that holds it
+@pytest.mark.parametrize("edit, message", [
+    (lambda text: text.replace("seeds = 2", "seeds = -1,2"), "config error: seeds: "),
+    (lambda text: text + "[offtrajectory]\nseed = -5\n", "config error: offtraj_seed: "),
 ], ids=["seeds", "offtrajectory.seed"])
-def test_out_of_range_seed_exit_2_writes_nothing(tmp_path, capsys, edit):
+def test_out_of_range_seed_exit_2_writes_nothing(tmp_path, capsys, edit, message):
     out = tmp_path / "out"
     path = write_config(tmp_path, edit(FAST_OVERRIDES.format(out=out)))
     for command in (["validate"], ["run", "--workers", "2"]):
         assert main([*command, "--config", str(path)]) == 2
-        assert "64-bit unsigned integer" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith(message)
+        assert "64-bit unsigned integer" in err
     assert not out.exists()
 
 

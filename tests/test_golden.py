@@ -4,9 +4,13 @@ A refactor of the integrator, the law functions or the experiment driver is
 meant to leave every number bit for bit unchanged. This test runs a 0.5 s
 sweep of all four scenarios over two seeds, at full logging resolution and
 with the deterministic Lyapunov reference, once sequentially and once on two
-worker processes, and compares the SHA-256 of every artifact with the values
-recorded before the refactor. A change meant to move round-off must update
-the hashes and say why.
+worker processes, and compares the SHA-256 of every artifact with recorded
+values. A change meant to move round-off must update the hashes and say why.
+
+Last recorded when the weight drift's ``J.T e`` became one reverse sweep of
+the network (a vector-Jacobian product) instead of the product of the full
+weight Jacobian with ``e``: the summation order changed, and no number in
+``runs.jsonl`` moved by more than 2e-16 relative.
 """
 
 import hashlib
@@ -17,16 +21,16 @@ from thermoadapt import ExperimentConfig
 from thermoadapt.cli import run_experiment
 
 GOLDEN_SHA256 = {
-    "S1_seed0000.csv": "105542469b0ed38c44fa9fae34b96107a042e2ba0485ac788193aa072902a2c7",
-    "S1_seed0001.csv": "105542469b0ed38c44fa9fae34b96107a042e2ba0485ac788193aa072902a2c7",
-    "S2_seed0000.csv": "cde4c9563dae275b22f947ce6c6ca6ee13f06dc621d7b00e7e5370b22fef2d22",
-    "S2_seed0001.csv": "add51ee9008aa67cb5e8103931c5c3994f93cd9009d8efe6106c2574440f209b",
-    "S3_seed0000.csv": "edfb40f68e949b0d7c2921ccefc9b4d0d6ac4914d3c58fae3366d52f0bf5b087",
-    "S3_seed0001.csv": "54c43191e793b0594af2705b318e121458368864fa083b5a524a8bce257b7699",
-    "S4_seed0000.csv": "7ad3a1da7a5fc9f0eb735d3d052c3d32add914670ad5431e2420ea7164663112",
-    "S4_seed0001.csv": "ca72fcde2c63776eb5c713cd1ff90b5857fe7dfdd831d3bd0d4942c669916e26",
-    "runs.jsonl": "dfc65bbe66705b34a10af8bbb8df39490e6be33add2dfc8a06590c08b493ebea",
-    "summary.json": "7d7e8f361e4b0a631807495fb17c65364de69d7c351bba60f78861ddfb667815",
+    "S1_seed0000.csv": "4935fd8279f68e8c8f64ab54f03bf0a2c51347a8061d2a6d00b718416383b3eb",
+    "S1_seed0001.csv": "4935fd8279f68e8c8f64ab54f03bf0a2c51347a8061d2a6d00b718416383b3eb",
+    "S2_seed0000.csv": "2a4d5a58808ec7c52cb5f998f8012a4769b5db816db2934053acee2913674f62",
+    "S2_seed0001.csv": "c0da121db6663ccb75ba373cdd16d55cd8dfd6a35be09b3b996f012239f05777",
+    "S3_seed0000.csv": "53aaf114777fbda548f22f0900964c8c6cd28e1c0bc003b4eb2435df52ed661f",
+    "S3_seed0001.csv": "64bae68c492ba592ac230e07a02dea0846df01c66a125d5e43bf53bc802df53f",
+    "S4_seed0000.csv": "823306efb6feb806eeae34279581d175dc5b7a5aaa0e10c51e0aaffc8c511a8b",
+    "S4_seed0001.csv": "427ae1545cc5c52f1a18abac263e507cccc6d5f7ed6eccf03a819e7620a5a566",
+    "runs.jsonl": "306bdf61af8f090d4e8ab498e450e6374d6dbbe5a0300ba01364e0cc3e83822f",
+    "summary.json": "a9ed95f32ab0b40904e32b909b595365eb9984e779a52c2acefcbb77ae5377e4",
     "summary.txt": "bc2c27de85ca50eeca3f10127b73d1e92f1cd9f53d58f1848482b011144d513d",
 }
 

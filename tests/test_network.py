@@ -2,19 +2,20 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from thermoadapt import (
     ACTIVATIONS,
     Network,
+    NetworkEvaluator,
     NetworkShape,
     RandomSource,
-    finite_diff_jacobian,
     he_init,
-    load_theta,
-    save_theta,
     swish,
     swish_prime,
 )
+from oracles import finite_diff_jacobian
 
 BENCH_SHAPE = NetworkShape(input_size=5, hidden_sizes=(10,) * 9, output_size=5)
 
@@ -62,9 +63,10 @@ def test_theta_length_checked():
 
 def test_matrix_roundtrip():
     net = he_init(NetworkShape(3, (4, 5), 2), RandomSource(3))
-    rebuilt = Network.from_matrices(net.weight_matrices(), activation="swish")
-    assert np.array_equal(rebuilt.theta, net.theta)
-    assert rebuilt.shape == net.shape
+    mats = net.weight_matrices()
+    assert [m.shape for m in mats] == [(4, 4), (5, 5), (6, 2)]
+    rebuilt = np.concatenate([m.reshape(-1, order="F") for m in mats])
+    assert np.array_equal(rebuilt, net.theta)
 
 
 # -- initialization ------------------------------------------------------------
@@ -109,7 +111,8 @@ def test_forward_bias_row_selected_by_zero_first_layer():
     shape = NetworkShape(2, (3,), 2)
     v1 = np.zeros((3, 3))
     v2 = RandomSource(8).standard_normal(8).reshape((4, 2))
-    net = Network.from_matrices([v1, v2])
+    theta = np.concatenate([v1.reshape(-1, order="F"), v2.reshape(-1, order="F")])
+    net = Network(shape, theta)
     out = net.forward(np.array([0.7, -1.3]))
     assert np.allclose(out, v2[-1, :], atol=0.0)
 
@@ -169,7 +172,7 @@ def test_jacobian_matches_finite_differences_many_shapes():
         net = he_init(shape, rng)
         x = rng.standard_normal(shape.input_size)
         jac = net.weight_jacobian(x)
-        ref = finite_diff_jacobian(lambda th: net.with_theta(th).forward(x),
+        ref = finite_diff_jacobian(lambda th: Network(shape, th).forward(x),
                                    net.theta, h=1e-6)
         scale = max(np.max(np.abs(ref)), 1e-12)
         worst = max(worst, np.max(np.abs(jac - ref)) / scale)
@@ -207,7 +210,7 @@ def test_jacobian_layout_matches_forward_perturbation():
     for idx in [0, 7, shape.param_count // 2, shape.param_count - 1]:
         theta = net.theta.copy()
         theta[idx] += delta
-        moved = net.with_theta(theta).forward(x)
+        moved = Network(shape, theta).forward(x)
         assert np.allclose((moved - base) / delta, jac[:, idx], atol=1e-4)
 
 
@@ -225,18 +228,56 @@ def test_taylor_remainder_quadratic_scaling():
         jac = net.weight_jacobian(x)
         remainders = []
         for s in scales:
-            moved = net.with_theta(net.theta + s * direction).forward(x)
+            moved = Network(shape, net.theta + s * direction).forward(x)
             remainders.append(np.linalg.norm(moved - base - jac @ (s * direction)))
         slope = np.polyfit(np.log(scales), np.log(remainders), 1)[0]
         slopes.append(slope)
     assert abs(np.mean(slopes) - 2.0) <= 0.1
 
 
-# -- serialization ---------------------------------------------------------------
+# -- batched vector-Jacobian product (property tests) ---------------------------
+
+PROPERTY_SETTINGS = settings(max_examples=40, deadline=None, derandomize=True, database=None)
 
 
-def test_theta_roundtrip(tmp_path):
-    net = he_init(NetworkShape(3, (4,), 2), RandomSource(55))
-    path = tmp_path / "weights.csv"
-    save_theta(path, net.theta)
-    assert np.array_equal(load_theta(path), net.theta)
+@st.composite
+def batched_case(draw):
+    """Small shape (p <= 200), any activation, 1-8 rows of (x, e), He weights."""
+    shape = NetworkShape(
+        input_size=draw(st.integers(1, 5)),
+        hidden_sizes=draw(st.lists(st.integers(1, 7), max_size=3)),
+        output_size=draw(st.integers(1, 5)),
+        activation=draw(st.sampled_from(sorted(ACTIVATIONS))),
+    )
+    assume(shape.param_count <= 200)
+    rows = draw(st.integers(1, 8))
+    rng = RandomSource(draw(st.integers(0, 2**32)))
+    theta = he_init(shape, rng).theta
+    x = rng.standard_normal(rows * shape.input_size).reshape(rows, -1)
+    e = rng.standard_normal(rows * shape.output_size).reshape(rows, -1)
+    return shape, theta, x, e
+
+
+@PROPERTY_SETTINGS
+@given(batched_case())
+def test_batched_rows_equal_single_row_calls(case):
+    shape, theta, x, e = case
+    evaluator = NetworkEvaluator(shape)
+    phi, jte = evaluator.evaluate(theta, x, e)
+    for b in range(x.shape[0]):
+        phi_b, jte_b = evaluator.evaluate(theta, x[b:b + 1], e[b:b + 1])
+        assert np.array_equal(phi[b], phi_b[0])
+        assert np.array_equal(jte[b], jte_b[0])
+
+
+@PROPERTY_SETTINGS
+@given(batched_case())
+def test_vjp_matches_finite_difference_gradient(case):
+    # row b of J.T e is the weight gradient of theta -> e_b . Phi(x_b, theta)
+    shape, theta, x, e = case
+    _, jte = NetworkEvaluator(shape).evaluate(theta, x, e)
+    ref = finite_diff_jacobian(
+        lambda th: np.sum(e * Network(shape, th).forward(x), axis=1), theta, h=1e-6
+    )
+    scale = max(np.max(np.abs(ref)), 1e-12)
+    assert np.max(np.abs(jte - ref)) / scale <= 1e-5

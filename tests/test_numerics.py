@@ -3,11 +3,8 @@
 import numpy as np
 import pytest
 
-from thermoadapt import (
-    RandomSource,
-    finite_diff_jacobian,
-    wiener_increment,
-)
+from thermoadapt import RandomSource, wiener_increment
+from oracles import finite_diff_jacobian
 
 
 def test_same_seed_same_stream():

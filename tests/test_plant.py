@@ -75,7 +75,7 @@ def controller(net, law, gains, x, theta, t):
     """Control input at state ``x`` and time ``t`` with weights ``theta``."""
     xd, rate = desired(t)
     e = x - xd
-    phi = net.with_theta(theta).forward(x)
+    phi = Network(net.shape, theta).forward(x)
     return control_input(gains, rate, e, phi, law.mu(x, theta, e))
 
 

@@ -23,7 +23,7 @@ def test_interior_identity():
 
 def test_outer_shell_radial_increment_cancelled():
     theta = on_outer_shell([1.0, 2.0, -2.0])
-    grad = BALL.boundary_grad(theta)
+    grad = 2.0 * theta
     out = BALL.project(theta, grad)
     # residual is round-off from placing theta on the shell via sqrt
     assert np.linalg.norm(out) <= 1e-10 * np.linalg.norm(grad)
@@ -61,7 +61,7 @@ def test_random_interior_points_identity():
 def test_positive_scaling_fixed_branch():
     rng = RandomSource(78)
     theta = on_outer_shell(rng.standard_normal(6))
-    grad = BALL.boundary_grad(theta)
+    grad = 2.0 * theta
     for _ in range(100):
         m = rng.standard_normal(6)
         if grad @ m <= 0:
@@ -79,7 +79,7 @@ def test_never_increases_outward_component():
         scale = float(rng.uniform(0.0, 1.0, ()))
         theta = np.sqrt(BALL.radius**2 + scale * BALL.layer)
         theta = theta * direction / np.linalg.norm(direction)
-        grad = BALL.boundary_grad(theta)
+        grad = 2.0 * theta
         m = rng.standard_normal(5)
         out = BALL.project(theta, m)
         assert grad @ out <= grad @ m + 1e-12
@@ -91,7 +91,7 @@ def test_outer_shell_never_points_outward():
         theta = on_outer_shell(rng.standard_normal(5))
         m = rng.standard_normal(5)
         out = BALL.project(theta, m)
-        assert BALL.boundary_grad(theta) @ out <= 1e-10
+        assert 2.0 * theta @ out <= 1e-10
 
 
 def test_outside_point_rejected():

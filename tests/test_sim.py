@@ -10,6 +10,7 @@ from thermoadapt import (
     DivergenceError,
     ExperimentConfig,
     Network,
+    NetworkEvaluator,
     RandomSource,
     control_input,
     desired,
@@ -115,7 +116,8 @@ def test_step_reduces_to_projected_gradient_when_diffusion_off():
     xd, xd_rate = desired(0.0)
     e = x - xd
     mu = law.mu(x, theta, e)
-    rho = drift(law, gains, net.weight_jacobian(x), x, theta, e)
+    jte = NetworkEvaluator(net.shape).evaluate(theta, x[None], e[None])[1][0]
+    rho = drift(law, gains, jte, x, theta, e)
     expected = theta + gains.learning_rate * cfg.dt * ball.project(theta, rho)
     assert np.array_equal(log.final_theta, expected)
     u = control_input(gains, xd_rate, e, net.forward(x), mu)
@@ -196,10 +198,10 @@ def test_step_size_self_consistency():
 
 
 class _PerfectModel:
-    """Duck-typed stand-in whose forward equals the plant drift."""
+    """Duck-typed stand-in whose forward equals the plant drift at each row."""
 
-    def forward(self, x):
-        return plant_drift(x)
+    def forward(self, points):
+        return np.array([plant_drift(pt) for pt in points])
 
 
 def test_metrics_off_trajectory_zero_for_perfect_model(fast_s2_log):
@@ -222,6 +224,20 @@ def test_metrics_test_points_reproducible(fast_s2_log):
     a = metrics(fast_s2_log, net, RandomSource(99))
     b = metrics(fast_s2_log, net, RandomSource(99))
     assert a.off_traj_rms == b.off_traj_rms
+
+
+@pytest.mark.parametrize("layers, width", [(9, 10), (2, 48)], ids=["paper", "wide"])
+def test_metrics_off_trajectory_matches_pointwise_forward(fast_s2_log, layers, width):
+    # one forward call over all test points sums exactly like one call per point
+    cfg = replace(FAST, hidden_layers=layers, hidden_width=width)
+    net = Network(cfg.network_shape(), cfg.initial_theta())
+    points = RandomSource(42).uniform(-0.5, 0.5, (90, 5))
+    off_sq = 0.0
+    for pt in points:
+        diff = plant_drift(pt) - net.forward(pt)
+        off_sq += float(diff @ diff)
+    report = metrics(fast_s2_log, net, RandomSource(42))
+    assert report.off_traj_rms == np.sqrt(off_sq / 90)
 
 
 def test_metrics_rejects_empty_log(fast_s2_log):

@@ -5,15 +5,16 @@ import pytest
 
 from thermoadapt import (
     Gains,
+    Network,
+    NetworkEvaluator,
     NetworkShape,
     RandomSource,
     TemperatureLaw,
     diffusion_coefficient,
     drift,
-    finite_diff_jacobian,
     he_init,
-    internal_energy,
 )
+from oracles import finite_diff_jacobian, internal_energy
 
 ERROR_LAW = TemperatureLaw(kind="error", scale=9.0)
 STATE_LAW = TemperatureLaw(kind="state", scale=9.0, quad_weight=0.01)
@@ -158,9 +159,9 @@ def test_internal_energy_weight_term():
 
 
 def weight_drift(net, law, gains, x, theta, e):
-    """Drift with the network's weight Jacobian at ``x`` for weights ``theta``."""
-    jac = net.with_theta(theta).weight_jacobian(x)
-    return drift(law, gains, jac, x, theta, e)
+    """Drift with the network's ``J.T e`` at ``x`` for weights ``theta``."""
+    jte = NetworkEvaluator(net.shape).evaluate(theta, x[None], e[None])[1][0]
+    return drift(law, gains, jte, x, theta, e)
 
 
 def test_drift_vanishes_at_rest():
@@ -196,7 +197,7 @@ def test_drift_is_negative_energy_gradient():
         f_val = plant_drift(x)
 
         def closed_loop_energy(th):
-            phi = net.with_theta(th).forward(x)
+            phi = Network(net.shape, th).forward(x)
             mu = law.mu(x, th, e)
             e_dot = f_val - gains.control_gain * e - phi - gains.thermal_coeff * mu
             return np.array([internal_energy(e, e_dot, th, gains.forgetting_factor)])
