@@ -22,6 +22,7 @@ import argparse
 import configparser
 import json
 import math
+import shutil
 import sys
 from dataclasses import dataclass, fields, replace
 from multiprocessing import Pool
@@ -174,15 +175,21 @@ class RunResult:
     max_boundary_value: float
 
 
-def _execute_run(payload) -> RunResult:
-    config, scenario, seed, theta_ref, csv_path = payload
+def _execute_run(payload) -> list[RunResult]:
+    """Integrate one run and report it under each of the task's seeds.
+
+    A task holds more than one seed only for a scenario whose runs do not
+    depend on the seed; the first seed's run then stands for all of them,
+    and its CSV is copied to every seed's path.
+    """
+    config, scenario, seeds, theta_ref, csv_paths = payload
     try:
-        log = run_scenario(config, scenario, seed, theta_ref=theta_ref)
+        log = run_scenario(config, scenario, seeds[0], theta_ref=theta_ref)
     except DivergenceError as exc:
         partial = exc.partial_log
-        return RunResult(
+        result = RunResult(
             scenario=scenario,
-            seed=seed,
+            seed=seeds[0],
             diverged=True,
             error=str(exc),
             rms_error=float("nan"),
@@ -195,6 +202,7 @@ def _execute_run(payload) -> RunResult:
             temp_mean_late=float("nan"),
             max_boundary_value=partial.max_boundary_value,
         )
+        return [replace(result, seed=seed) for seed in seeds]
     net_final = Network(config.network_shape(), log.final_theta)
     report = metrics(
         log,
@@ -204,11 +212,13 @@ def _execute_run(payload) -> RunResult:
         low=config.offtraj_low,
         high=config.offtraj_high,
     )
-    if csv_path is not None:
-        write_csv(log, csv_path)
-    return RunResult(
+    if csv_paths is not None:
+        write_csv(log, csv_paths[0])
+        for path in csv_paths[1:]:
+            shutil.copyfile(csv_paths[0], path)
+    result = RunResult(
         scenario=scenario,
-        seed=seed,
+        seed=seeds[0],
         diverged=False,
         error=None,
         rms_error=report.rms_error,
@@ -221,6 +231,7 @@ def _execute_run(payload) -> RunResult:
         temp_mean_late=log.temp_mean_late,
         max_boundary_value=log.max_boundary_value,
     )
+    return [replace(result, seed=seed) for seed in seeds]
 
 
 def resolve_theta_ref(config: ExperimentConfig) -> Optional[np.ndarray]:
@@ -245,27 +256,34 @@ def run_batch(
     out_dir: Optional[Path] = None,
     theta_ref: Optional[np.ndarray] = None,
 ) -> list[RunResult]:
-    """Execute every (scenario, seed) pair, optionally in parallel.
+    """Report every (scenario, seed) pair, optionally in parallel.
 
     Each run owns its random sources, so parallel and sequential execution
     produce identical results; output order is scenario-major in the
-    config's scenario order. CSV logs are written only when ``out_dir`` is
-    given.
+    config's scenario order. A scenario with zero diffusion gain draws no
+    noise, so its runs do not depend on the seed: it is integrated once and
+    that run is reported for every seed. CSV logs are written only when
+    ``out_dir`` is given.
     """
     tasks = []
     for scenario in config.scenarios:
-        for seed in config.seeds:
-            csv_path = (
-                str(out_dir / f"{scenario}_seed{seed:04d}.csv")
+        if config.gains_for(scenario).diffusion_gain == 0.0:
+            groups = [config.seeds]
+        else:
+            groups = [(seed,) for seed in config.seeds]
+        for seeds in groups:
+            csv_paths = (
+                [str(out_dir / f"{scenario}_seed{seed:04d}.csv") for seed in seeds]
                 if out_dir is not None
                 else None
             )
-            tasks.append((config, scenario, seed, theta_ref, csv_path))
+            tasks.append((config, scenario, seeds, theta_ref, csv_paths))
     if workers > 1 and len(tasks) > 1:
         with Pool(processes=workers) as pool:
-            results = pool.map(_execute_run, tasks, chunksize=1)
+            batches = pool.map(_execute_run, tasks, chunksize=1)
     else:
-        results = [_execute_run(t) for t in tasks]
+        batches = [_execute_run(t) for t in tasks]
+    results = [r for batch in batches for r in batch]
     order = {name: k for k, name in enumerate(config.scenarios)}
     results.sort(key=lambda r: (order[r.scenario], r.seed))
     return results

@@ -18,12 +18,27 @@ layer's weight gradient is the outer product of its augmented input with
 the cotangent of its output. The full Jacobian is the same sweep with unit
 cotangents; a central finite-difference oracle in the test suite pins it
 down.
+
+``NetworkEvaluator`` keeps a workspace per row count B, built on the first
+call with B rows: a private copy of the weights with the per-layer matrix
+views on it, the augmented-input buffers with their trailing 1, and flat
+buffers for the hidden pre-activations, the activation's auxiliary value
+(the sigmoid for swish, tanh for tanh) and the slopes. A hidden layer then
+costs a matmul, one transcendental and the value; the slopes of all hidden
+layers come from one vectorised pass. Consecutive layers with equal matrix
+shape share stacked input and cotangent buffers, so one broadcast multiply
+writes all of their gradient blocks. Each element sees the same operations
+in the same order as in a plain per-layer loop (kept in the tests as a
+bitwise oracle), and the arrays returned are fresh, never views of the
+workspace.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from functools import partial
+from itertools import groupby
+from typing import Callable, Optional
 
 import numpy as np
 from scipy.special import expit
@@ -43,37 +58,70 @@ __all__ = [
 
 # ---------------------------------------------------------------------------
 # Activations
+#
+# Each activation is written through one auxiliary value a = aux(y): the
+# logistic sigmoid for swish, tanh for tanh, a copy of y for linear. A
+# formula ``f(y, a, out)`` writes the value or the slope at y into ``out``
+# from y and a, so the evaluator calls the transcendental once per layer
+# and the public functions below share the same formulas.
+
+
+def _swish_value(y, s, out):
+    return np.multiply(y, s, out=out)
+
+
+def _swish_slope(y, s, out):
+    # s * (1 + y * (1 - s))
+    np.subtract(1.0, s, out=out)
+    np.multiply(y, out, out=out)
+    np.add(1.0, out, out=out)
+    return np.multiply(s, out, out=out)
+
+
+def _tanh_slope(y, t, out):
+    # 1 - t * t
+    np.multiply(t, t, out=out)
+    return np.subtract(1.0, out, out=out)
+
+
+def _aux_value(y, a, out):
+    np.copyto(out, a)
+    return out
+
+
+def _unit_slope(y, a, out):
+    np.copyto(out, 1.0)
+    return out
+
+
+# name -> (auxiliary ufunc, value formula, slope formula)
+_FORMULAS = {
+    "swish": (expit, _swish_value, _swish_slope),
+    "tanh": (np.tanh, _aux_value, _tanh_slope),
+    "linear": (np.positive, _aux_value, _unit_slope),
+}
+
+
+def _apply(formula: Callable, aux: Callable, y) -> np.ndarray:
+    """``formula(y, aux(y))`` on a fresh array, or a scalar for scalar ``y``."""
+    y = np.asarray(y, dtype=float)
+    return formula(y, aux(y), np.empty_like(y))[()]
 
 
 def swish(y):
     """Swish activation ``y * sigmoid(y)``, a smooth ramp."""
-    return y * expit(y)
+    return _apply(_swish_value, expit, y)
 
 
 def swish_prime(y):
     """First derivative of swish: ``s(y) * (1 + y * (1 - s(y)))``."""
-    s = expit(y)
-    return s * (1.0 + y * (1.0 - s))
+    return _apply(_swish_slope, expit, y)
 
 
-def _linear(y):
-    return np.asarray(y, dtype=float)
-
-
-def _linear_prime(y):
-    return np.ones_like(np.asarray(y, dtype=float))
-
-
-def _tanh_prime(y):
-    t = np.tanh(y)
-    return 1.0 - t * t
-
-
-# name -> (value, slope)
+# name -> (value, slope), each a function of y
 ACTIVATIONS: dict[str, tuple[Callable, Callable]] = {
-    "swish": (swish, swish_prime),
-    "tanh": (np.tanh, _tanh_prime),
-    "linear": (_linear, _linear_prime),
+    name: (partial(_apply, value, aux), partial(_apply, slope, aux))
+    for name, (aux, value, slope) in _FORMULAS.items()
 }
 
 
@@ -162,9 +210,7 @@ class Network:
         """
         x = self._check_input(x)
         rows = np.atleast_2d(x)
-        out, _ = NetworkEvaluator(self.shape).evaluate(
-            self.theta, rows, np.zeros((rows.shape[0], self.shape.output_size))
-        )
+        out, _ = NetworkEvaluator(self.shape).evaluate(self.theta, rows)
         return out if x.ndim == 2 else out[0]
 
     def weight_jacobian(self, x: np.ndarray) -> np.ndarray:
@@ -180,54 +226,110 @@ class Network:
         )[1]
 
 
+class _Workspace:
+    """Buffers and views of ``NetworkEvaluator`` for one row count B.
+
+    Layer j's augmented input is ``(B, 1, fan_in + 1)`` and its output
+    cotangent ``(B, fan_out, 1)``; a group of consecutive layers with equal
+    matrix shape stacks them along a leading axis. The hidden layers'
+    pre-activations, auxiliary values and slopes sit side by side in flat
+    ``(B, 1, sum of hidden widths)`` buffers.
+    """
+
+    def __init__(self, shape: NetworkShape, rows: int):
+        self.theta = np.empty(shape.param_count)
+        self.jte = np.empty((rows, shape.param_count))
+        mats, inputs, cots, self.blocks = [], [], [], []
+        layers = zip(shape.segments, shape.matrix_shapes)
+        for (r, c), group in groupby(layers, key=lambda layer: layer[1]):
+            group = list(group)
+            a, b = group[0][0][0], group[-1][0][1]
+            u = np.empty((len(group), rows, 1, r))
+            u[..., -1] = 1.0
+            g = np.empty((len(group), rows, c, 1))
+            mats += [self.theta[lo:hi].reshape((r, c), order="F") for (lo, hi), _ in group]
+            inputs += list(u)
+            cots += list(g)
+            # Column-major blocks, viewed as (rows, layers, fan_out, fan_in + 1).
+            block = self.jte[:, a:b].reshape(rows, len(group), c, r)
+            self.blocks.append((g.transpose(1, 0, 2, 3), u.transpose(1, 0, 2, 3), block))
+        self.x = inputs[0][:, 0, :-1]
+        self.e = cots[-1][..., 0]
+        self.last = (inputs[-1], mats[-1])
+        self.phi = np.empty((rows, 1, shape.output_size))
+
+        width = sum(shape.hidden_sizes)
+        self.pre = np.empty((rows, 1, width))
+        self.aux = np.empty((rows, 1, width))
+        self.slopes = np.empty((rows, 1, width))
+        self.forward, self.reverse = [], []
+        offset = 0
+        for j, w in enumerate(shape.hidden_sizes):
+            cut = slice(offset, offset + w)
+            offset += w
+            self.forward.append(
+                (inputs[j], mats[j], self.pre[..., cut], self.aux[..., cut],
+                 inputs[j + 1][..., :-1])
+            )
+            # Layer j + 1 pulls its cotangent back to layer j's output.
+            self.reverse.append(
+                (mats[j + 1][:-1], cots[j + 1], cots[j],
+                 self.slopes[..., cut].transpose(0, 2, 1))
+            )
+        self.reverse.reverse()
+
+
 class NetworkEvaluator:
     """The one implementation of the forward pass and of the weight derivative.
 
     ``Network.forward`` and ``Network.weight_jacobian`` wrap it, and the
     simulator calls it once per step. Every product is a stacked matmul over
-    the rows, so a row's result does not depend on the other rows.
+    the rows, so a row's result does not depend on the other rows. The
+    buffers for a row count are built on its first call and reused; the
+    returned arrays are fresh copies.
     """
 
     def __init__(self, shape: NetworkShape):
         self.shape = shape
-        self._act, self._act_prime = ACTIVATIONS[shape.activation]
-        self._layers = tuple(zip(shape.segments, shape.matrix_shapes))
+        self._aux, self._value, self._slope = _FORMULAS[shape.activation]
+        self._workspaces: dict[int, _Workspace] = {}
 
     def evaluate(
-        self, theta: np.ndarray, X: np.ndarray, E: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
+        self, theta: np.ndarray, X: np.ndarray, E: Optional[np.ndarray] = None
+    ) -> tuple[np.ndarray, Optional[np.ndarray]]:
         """Outputs ``Phi`` (B, n_out) at the rows of ``X`` (B, n_in) and the
         products ``J(x_b).T @ E[b]`` (B, p), for weights ``theta`` (p,).
 
         One forward pass keeps each layer's augmented input and activation
         slopes; one reverse sweep then pulls ``E`` back through the layers.
         The gradient of layer j's matrix is the outer product of its input
-        with the cotangent of its output.
+        with the cotangent of its output. With ``E`` None the reverse sweep
+        is skipped and the second result is None.
         """
         rows = X.shape[0]
-        mats = [theta[a:b].reshape(ms, order="F") for (a, b), ms in self._layers]
-        u = np.empty((rows, 1, X.shape[1] + 1))
-        u[:, 0, :-1] = X
-        u[..., -1] = 1.0
-        inputs, slopes = [u], []
-        h = u @ mats[0]
-        for m in mats[1:]:
-            slopes.append(self._act_prime(h).transpose(0, 2, 1))
-            u = np.empty((rows, 1, m.shape[0]))
-            u[..., :-1] = self._act(h)
-            u[..., -1] = 1.0
-            inputs.append(u)
-            h = u @ m
+        ws = self._workspaces.get(rows)
+        if ws is None:
+            ws = self._workspaces[rows] = _Workspace(self.shape, rows)
+        np.copyto(ws.theta, theta)
+        np.copyto(ws.x, X)
+        aux, value = self._aux, self._value
+        for u, m, h, a, act in ws.forward:
+            np.matmul(u, m, out=h)
+            aux(h, out=a)
+            value(h, a, act)
+        np.matmul(*ws.last, out=ws.phi)
+        phi = ws.phi[:, 0].copy()
+        if E is None:
+            return phi, None
 
-        jte = np.empty((rows, theta.size))
-        g = E[:, :, None]
-        for j in range(len(mats) - 1, -1, -1):
-            (a, b), (fan_in, fan_out) = self._layers[j]
-            # Column-major block of layer j, viewed as (rows, fan_out, fan_in).
-            np.multiply(g, inputs[j], out=jte[:, a:b].reshape(rows, fan_out, fan_in))
-            if j:
-                g = (mats[j][:-1] @ g) * slopes[j - 1]
-        return h[:, 0], jte
+        self._slope(ws.pre, ws.aux, ws.slopes)
+        np.copyto(ws.e, E)
+        for back, g, g_prev, slope in ws.reverse:
+            np.matmul(back, g, out=g_prev)
+            np.multiply(g_prev, slope, out=g_prev)
+        for g, u, block in ws.blocks:
+            np.multiply(g, u, out=block)
+        return phi, ws.jte.copy()
 
 
 def he_init(shape: NetworkShape, rng: RandomSource) -> Network:

@@ -1,12 +1,12 @@
 """Config parsing, experiment driver artifacts, and the summary table."""
 
 import json
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
-from thermoadapt import ExperimentConfig
+from thermoadapt import ExperimentConfig, cli
 from thermoadapt.cli import (
     ConfigError,
     RunResult,
@@ -16,6 +16,7 @@ from thermoadapt.cli import (
     main,
     parse_seed_spec,
     print_summary,
+    run_batch,
     run_experiment,
 )
 
@@ -290,6 +291,36 @@ def test_parallel_matches_sequential(tmp_path):
         outs.append(out)
     assert (outs[0] / "summary.json").read_bytes() == (outs[1] / "summary.json").read_bytes()
     assert (outs[0] / "runs.jsonl").read_bytes() == (outs[1] / "runs.jsonl").read_bytes()
+
+
+@pytest.mark.parametrize("scenario, diffusion_gain", [("S1", 0.03), ("S2", 0.0)])
+def test_seed_independent_scenario_integrated_once(tmp_path, monkeypatch, scenario, diffusion_gain):
+    # With zero diffusion gain no noise is drawn, so one run serves every seed.
+    calls = []
+    run_scenario = cli.run_scenario
+
+    def counting_run(config, scenario, seed, theta_ref=None):
+        calls.append((scenario, seed))
+        return run_scenario(config, scenario, seed, theta_ref=theta_ref)
+
+    monkeypatch.setattr(cli, "run_scenario", counting_run)
+    cfg = ExperimentConfig(
+        horizon=0.2,
+        hidden_layers=1,
+        hidden_width=6,
+        seeds=(4, 0, 9),
+        scenarios=(scenario,),
+        diffusion_gain=diffusion_gain,
+        output_dir=str(tmp_path),
+        lyapunov_reference="zero",
+    )
+    results = run_batch(cfg, workers=1, out_dir=tmp_path)
+    assert calls == [(scenario, 4)]
+    assert [r.seed for r in results] == [0, 4, 9]
+    records = {json.dumps(cli._record(replace(r, seed=0))) for r in results}
+    assert len(records) == 1
+    csvs = {(tmp_path / f"{scenario}_seed{s:04d}.csv").read_bytes() for s in (0, 4, 9)}
+    assert len(csvs) == 1
 
 
 # -- command line -----------------------------------------------------------------

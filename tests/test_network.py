@@ -15,7 +15,7 @@ from thermoadapt import (
     swish,
     swish_prime,
 )
-from oracles import finite_diff_jacobian
+from oracles import finite_diff_jacobian, reference_evaluate
 
 BENCH_SHAPE = NetworkShape(input_size=5, hidden_sizes=(10,) * 9, output_size=5)
 
@@ -242,10 +242,15 @@ PROPERTY_SETTINGS = settings(max_examples=40, deadline=None, derandomize=True, d
 
 @st.composite
 def batched_case(draw):
-    """Small shape (p <= 200), any activation, 1-8 rows of (x, e), He weights."""
+    """Small shape (p <= 200), any activation, 1-8 rows of (x, e), He weights.
+
+    The hidden layers come in runs of equal width, so shapes range over no
+    hidden layer, mixed widths and consecutive layers of equal matrix shape.
+    """
+    runs = draw(st.lists(st.tuples(st.integers(1, 6), st.integers(1, 3)), max_size=3))
     shape = NetworkShape(
         input_size=draw(st.integers(1, 5)),
-        hidden_sizes=draw(st.lists(st.integers(1, 7), max_size=3)),
+        hidden_sizes=[width for width, count in runs for _ in range(count)],
         output_size=draw(st.integers(1, 5)),
         activation=draw(st.sampled_from(sorted(ACTIVATIONS))),
     )
@@ -281,3 +286,41 @@ def test_vjp_matches_finite_difference_gradient(case):
     )
     scale = max(np.max(np.abs(ref)), 1e-12)
     assert np.max(np.abs(jte - ref)) / scale <= 1e-5
+
+
+def _bits(a):
+    return a.shape, a.tobytes()
+
+
+@PROPERTY_SETTINGS
+@given(batched_case())
+def test_evaluate_bit_equal_to_reference_loop(case):
+    shape, theta, x, e = case
+    evaluator = NetworkEvaluator(shape)
+    phi, jte = evaluator.evaluate(theta, x, e)
+    ref_phi, ref_jte = reference_evaluate(shape, theta, x, e)
+    assert _bits(phi) == _bits(ref_phi)
+    assert _bits(jte) == _bits(ref_jte)
+    phi_only, nothing = evaluator.evaluate(theta, x)
+    assert nothing is None
+    assert _bits(phi_only) == _bits(ref_phi)
+
+
+@pytest.mark.parametrize("activation", sorted(ACTIVATIONS))
+def test_workspace_reuse_leaves_results_intact(activation):
+    # One evaluator, row counts 1, 5, 1 with different weights: the buffers
+    # of a row count are reused, the returned arrays are not.
+    shape = NetworkShape(5, (10,) * 4 + (7,), 5, activation=activation)
+    rng = RandomSource(17)
+    calls = [(he_init(shape, rng).theta, rng.standard_normal(rows * 5).reshape(rows, 5),
+              rng.standard_normal(rows * 5).reshape(rows, 5)) for rows in (1, 5, 1)]
+    evaluator = NetworkEvaluator(shape)
+    results, snapshots = [], []
+    for theta, x, e in calls:
+        phi, jte = evaluator.evaluate(theta, x, e)
+        results.append((phi, jte))
+        snapshots.append((_bits(phi), _bits(jte)))
+    for (theta, x, e), (phi, jte), snap in zip(calls, results, snapshots):
+        assert (_bits(phi), _bits(jte)) == snap
+        fresh_phi, fresh_jte = NetworkEvaluator(shape).evaluate(theta, x, e)
+        assert (_bits(fresh_phi), _bits(fresh_jte)) == snap
