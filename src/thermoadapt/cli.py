@@ -34,7 +34,7 @@ import numpy as np
 from .config import SCENARIO_NAMES, ExperimentConfig
 from .network import Network
 from .numerics import RandomSource
-from .sim import DivergenceError, metrics, run as run_scenario, write_csv
+from .sim import DivergenceError, MetricsReport, metrics, run as run_scenario, write_csv
 
 __all__ = [
     "ConfigError",
@@ -186,49 +186,37 @@ def _execute_run(payload) -> list[RunResult]:
     try:
         log = run_scenario(config, scenario, seeds[0], theta_ref=theta_ref)
     except DivergenceError as exc:
-        partial = exc.partial_log
-        result = RunResult(
-            scenario=scenario,
-            seed=seeds[0],
-            diverged=True,
-            error=str(exc),
-            rms_error=float("nan"),
-            rms_func_err=float("nan"),
-            off_traj_rms=float("nan"),
-            clip_count=partial.clip_count,
-            sup_state_norm=partial.sup_state_norm,
-            sup_error_norm=partial.sup_error_norm,
-            temp_mean_early=float("nan"),
-            temp_mean_late=float("nan"),
-            max_boundary_value=partial.max_boundary_value,
+        log, error = exc.partial_log, str(exc)
+        report = MetricsReport(math.nan, math.nan, math.nan)
+        temp_means = (math.nan, math.nan)
+    else:
+        error = None
+        report = metrics(
+            log,
+            Network(config.network_shape(), log.final_theta),
+            RandomSource(config.offtraj_seed),
+            count=config.offtraj_count,
+            low=config.offtraj_low,
+            high=config.offtraj_high,
         )
-        return [replace(result, seed=seed) for seed in seeds]
-    net_final = Network(config.network_shape(), log.final_theta)
-    report = metrics(
-        log,
-        net_final,
-        RandomSource(config.offtraj_seed),
-        count=config.offtraj_count,
-        low=config.offtraj_low,
-        high=config.offtraj_high,
-    )
-    if csv_paths is not None:
-        write_csv(log, csv_paths[0])
-        for path in csv_paths[1:]:
-            shutil.copyfile(csv_paths[0], path)
+        temp_means = (log.temp_mean_early, log.temp_mean_late)
+        if csv_paths is not None:
+            write_csv(log, csv_paths[0])
+            for path in csv_paths[1:]:
+                shutil.copyfile(csv_paths[0], path)
     result = RunResult(
         scenario=scenario,
         seed=seeds[0],
-        diverged=False,
-        error=None,
+        diverged=error is not None,
+        error=error,
         rms_error=report.rms_error,
         rms_func_err=report.rms_func_err,
         off_traj_rms=report.off_traj_rms,
         clip_count=log.clip_count,
         sup_state_norm=log.sup_state_norm,
         sup_error_norm=log.sup_error_norm,
-        temp_mean_early=log.temp_mean_early,
-        temp_mean_late=log.temp_mean_late,
+        temp_mean_early=temp_means[0],
+        temp_mean_late=temp_means[1],
         max_boundary_value=log.max_boundary_value,
     )
     return [replace(result, seed=seed) for seed in seeds]
@@ -238,15 +226,18 @@ def resolve_theta_ref(config: ExperimentConfig) -> Optional[np.ndarray]:
     """Reference weights for the logged Lyapunov proxy.
 
     ``deterministic`` runs the exploration-free baseline once (first seed)
-    and uses its final weights; ``initial`` uses the shared initialization;
-    ``zero`` uses the origin.
+    and uses its final weights, or its last finite weights if it diverges;
+    ``initial`` uses the shared initialization; ``zero`` uses the origin.
     """
     mode = config.lyapunov_reference
     if mode == "zero":
         return None
     if mode == "initial":
         return config.initial_theta()
-    ref_log = run_scenario(config, "S1", config.seeds[0], theta_ref=None)
+    try:
+        ref_log = run_scenario(config, "S1", config.seeds[0], theta_ref=None)
+    except DivergenceError as exc:
+        ref_log = exc.partial_log
     return ref_log.final_theta
 
 

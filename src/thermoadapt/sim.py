@@ -13,12 +13,14 @@ at the pre-step weights. If a step still overshoots the layered search
 region, the weights are radially clipped back onto its outer shell and the
 event is counted.
 
-A run logs a decimated trajectory but accumulates error metrics at full
-step resolution.
+A run logs a decimated trajectory as one table whose columns are
+``CSV_COLUMNS``, in that order, and accumulates error metrics at full step
+resolution.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -43,6 +45,20 @@ __all__ = [
     "CSV_COLUMNS",
 ]
 
+# Columns of the logged trajectory table and of its CSV, in order.
+CSV_COLUMNS = (
+    "t",
+    "x1", "x2", "x3", "x4", "x5",
+    "e1", "e2", "e3", "e4", "e5",
+    "e_norm",
+    "theta_norm",
+    "temperature",
+    "diffusion",
+    "lyapunov_proxy",
+    "func_err_norm",
+    "clip_flag",
+)
+
 # Windows (seconds) over which the run reports mean temperature, used to
 # monitor the decay of exploration.
 EARLY_WINDOW = (0.0, 5.0)
@@ -63,18 +79,9 @@ class DivergenceError(RuntimeError):
 
 @dataclass
 class TrajectoryLog:
-    """Decimated trajectory rows plus full-resolution accumulators."""
+    """Trajectory rows in ``CSV_COLUMNS`` order plus full-resolution accumulators."""
 
-    times: np.ndarray
-    states: np.ndarray
-    errors: np.ndarray
-    error_norms: np.ndarray
-    weight_norms: np.ndarray
-    temperatures: np.ndarray
-    diffusions: np.ndarray
-    lyapunov_proxies: np.ndarray
-    func_err_norms: np.ndarray
-    clip_flags: np.ndarray
+    rows: np.ndarray
     n_states: int
     sum_error_sq: float
     sum_func_err_sq: float
@@ -84,7 +91,6 @@ class TrajectoryLog:
     temp_mean_late: float
     clip_count: int
     max_boundary_value: float
-    initial_theta: np.ndarray
     final_theta: np.ndarray
 
 
@@ -116,33 +122,22 @@ def run(
     """
     if scenario not in SCENARIO_LAWS:
         raise ValueError(f"unknown scenario {scenario!r}")
-    shape = config.network_shape()
     ball = config.ball()
     gains = config.gains_for(scenario)
     law = config.law_for(scenario)
-    theta0 = config.initial_theta()
-    theta = theta0.copy()
+    theta = config.initial_theta()
     x = config.x0()
     if theta_ref is None:
         theta_ref = np.zeros(theta.size)
     rng = RandomSource(seed)
-    evaluator = NetworkEvaluator(shape)
+    evaluator = NetworkEvaluator(config.network_shape())
 
     dt = config.dt
     stride = config.log_stride
     n_steps = int(round(config.horizon / dt))
     n_rows = n_steps // stride + 1
 
-    times = np.empty(n_rows)
-    states = np.empty((n_rows, STATE_DIM))
-    errors = np.empty((n_rows, STATE_DIM))
-    error_norms = np.empty(n_rows)
-    weight_norms = np.empty(n_rows)
-    temperatures = np.empty(n_rows)
-    diffusions = np.empty(n_rows)
-    lyapunov_proxies = np.empty(n_rows)
-    func_err_norms = np.empty(n_rows)
-    clip_flags = np.zeros(n_rows, dtype=np.int64)
+    rows = np.empty((n_rows, len(CSV_COLUMNS)))
 
     sum_error_sq = 0.0
     sum_func_err_sq = 0.0
@@ -161,16 +156,7 @@ def run(
         early = temp_sums[0] / temp_counts[0] if temp_counts[0] else float("nan")
         late = temp_sums[1] / temp_counts[1] if temp_counts[1] else float("nan")
         return TrajectoryLog(
-            times=times[:rows_filled].copy(),
-            states=states[:rows_filled].copy(),
-            errors=errors[:rows_filled].copy(),
-            error_norms=error_norms[:rows_filled].copy(),
-            weight_norms=weight_norms[:rows_filled].copy(),
-            temperatures=temperatures[:rows_filled].copy(),
-            diffusions=diffusions[:rows_filled].copy(),
-            lyapunov_proxies=lyapunov_proxies[:rows_filled].copy(),
-            func_err_norms=func_err_norms[:rows_filled].copy(),
-            clip_flags=clip_flags[:rows_filled].copy(),
+            rows=rows[:rows_filled].copy(),
             n_states=i + 1,
             sum_error_sq=sum_error_sq,
             sum_func_err_sq=sum_func_err_sq,
@@ -180,7 +166,6 @@ def run(
             temp_mean_late=late,
             clip_count=clip_count,
             max_boundary_value=float(max_boundary_value),
-            initial_theta=theta0.copy(),
             final_theta=theta.copy(),
         )
 
@@ -197,10 +182,11 @@ def run(
         func_err = float(np.linalg.norm(f_val - phi))
 
         e_sq = float(e @ e)
+        e_norm = math.sqrt(e_sq)
         sum_error_sq += e_sq
         sum_func_err_sq += func_err * func_err
         sup_state_norm = max(sup_state_norm, float(np.linalg.norm(x)))
-        sup_error_norm = max(sup_error_norm, float(np.sqrt(e_sq)))
+        sup_error_norm = max(sup_error_norm, e_norm)
         if EARLY_WINDOW[0] <= t <= EARLY_WINDOW[1]:
             temp_sums[0] += temp
             temp_counts[0] += 1
@@ -210,16 +196,17 @@ def run(
         max_boundary_value = max(max_boundary_value, ball.boundary_fn(theta))
 
         if i % stride == 0:
-            times[row] = t
-            states[row] = x
-            errors[row] = e
-            error_norms[row] = np.sqrt(e_sq)
-            weight_norms[row] = np.linalg.norm(theta)
-            temperatures[row] = temp
-            diffusions[row] = intensity
-            lyapunov_proxies[row] = lyapunov_value(e, theta_ref - theta, gains.learning_rate)
-            func_err_norms[row] = func_err
-            clip_flags[row] = clips_since_row
+            out = rows[row]
+            out[0] = t
+            out[1:6] = x
+            out[6:11] = e
+            out[11] = e_norm
+            out[12] = np.linalg.norm(theta)
+            out[13] = temp
+            out[14] = intensity
+            out[15] = lyapunov_value(e, theta_ref - theta, gains.learning_rate)
+            out[16] = func_err
+            out[17] = clips_since_row
             clips_since_row = 0
             row += 1
 
@@ -279,40 +266,20 @@ def metrics(
     )
 
 
-CSV_COLUMNS = (
-    "t",
-    "x1", "x2", "x3", "x4", "x5",
-    "e1", "e2", "e3", "e4", "e5",
-    "e_norm",
-    "theta_norm",
-    "temperature",
-    "diffusion",
-    "lyapunov_proxy",
-    "func_err_norm",
-    "clip_flag",
-)
+# Rows write_csv converts to Python floats at once; all of them would cost 0.6 kB a row.
+_CSV_BLOCK = 1024
 
 
 def write_csv(log: TrajectoryLog, path) -> None:
     """Write the decimated trajectory rows as CSV.
 
-    Floats carry 17 significant digits so equal runs produce byte-identical
-    files. ``clip_flag`` counts shell clips since the previous row.
+    Every cell carries 17 significant digits, so equal runs produce
+    byte-identical files and each value reads back exactly. ``clip_flag``
+    counts shell clips since the previous row and prints as an integer.
     """
+    line = ",".join(["%.17g"] * len(CSV_COLUMNS)) + "\n"
     with open(path, "w", encoding="ascii", newline="\n") as fh:
         fh.write(",".join(CSV_COLUMNS) + "\n")
-        for r in range(log.times.size):
-            vals = [
-                log.times[r],
-                *log.states[r],
-                *log.errors[r],
-                log.error_norms[r],
-                log.weight_norms[r],
-                log.temperatures[r],
-                log.diffusions[r],
-                log.lyapunov_proxies[r],
-                log.func_err_norms[r],
-            ]
-            fields = [f"{v:.17g}" for v in vals]
-            fields.append(str(int(log.clip_flags[r])))
-            fh.write(",".join(fields) + "\n")
+        for start in range(0, log.rows.shape[0], _CSV_BLOCK):
+            for values in log.rows[start:start + _CSV_BLOCK].tolist():
+                fh.write(line % tuple(values))

@@ -1,9 +1,23 @@
-"""Reference computations the tests compare the package against."""
+"""Reference computations the tests compare the package against, and a
+column reader for the simulator's trajectory table."""
 
 from typing import Callable
 
 import numpy as np
 from scipy.special import expit
+
+from thermoadapt import CSV_COLUMNS, STATE_DIM
+
+
+def column(log, name: str) -> np.ndarray:
+    """Column ``name`` of ``CSV_COLUMNS`` from a log's rows.
+
+    ``"x"`` and ``"e"`` give the five state and tracking-error columns.
+    """
+    if name in ("x", "e"):
+        start = CSV_COLUMNS.index(name + "1")
+        return log.rows[:, start:start + STATE_DIM]
+    return log.rows[:, CSV_COLUMNS.index(name)]
 
 
 def finite_diff_jacobian(

@@ -6,7 +6,7 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
-from thermoadapt import ExperimentConfig, cli
+from thermoadapt import DivergenceError, ExperimentConfig, cli, run
 from thermoadapt.cli import (
     ConfigError,
     RunResult,
@@ -453,6 +453,43 @@ def test_divergent_run_exit_3(tmp_path, capsys):
     )
     with np.errstate(over="ignore", invalid="ignore"):
         assert main(["run", "--config", str(cfg_path)]) == 3
+        with pytest.raises(DivergenceError) as excinfo:
+            run(load_config(cfg_path), "S1", 0)
     records = [json.loads(ln) for ln in (tmp_path / "div" / "runs.jsonl").read_text().splitlines()]
-    assert records[0]["diverged"] is True
-    assert records[0]["rms_error"] is None
+    assert len(records) == 1
+    # every field of the diverged record comes from the same run's partial log
+    partial = excinfo.value.partial_log
+    assert records[0] == {
+        "scenario": "S1",
+        "seed": 0,
+        "diverged": True,
+        "error": str(excinfo.value),
+        "rms_error": None,
+        "rms_func_err": None,
+        "off_traj_rms": None,
+        "clip_count": partial.clip_count,
+        "sup_state_norm": partial.sup_state_norm,
+        "sup_error_norm": partial.sup_error_norm,
+        "temp_mean_early": None,
+        "temp_mean_late": None,
+        "max_boundary_value": partial.max_boundary_value,
+    }
+    assert set(records[0]) == {f.name for f in fields(RunResult)}
+
+
+@pytest.mark.parametrize("scenario", ["S1", "S2"])
+def test_diverging_reference_run_exit_3(tmp_path, capsys, scenario):
+    # the deterministic reference run diverges too; its last finite weights
+    # serve as the reference and the sweep records the diverged run
+    out = tmp_path / "div"
+    cfg_path = write_config(
+        tmp_path,
+        f"[experiment]\nhorizon = 5\ndt = 0.5\nseeds = 1\nscenarios = {scenario}\n"
+        f"output_dir = {out}\n"
+        "[network]\nhidden_layers = 1\nhidden_width = 6\n",
+    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert main(["run", "--config", str(cfg_path)]) == 3
+    assert "1 run(s) diverged" in capsys.readouterr().err
+    records = [json.loads(ln) for ln in (out / "runs.jsonl").read_text().splitlines()]
+    assert [(r["scenario"], r["diverged"]) for r in records] == [(scenario, True)]

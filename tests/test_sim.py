@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from thermoadapt import (
+    CSV_COLUMNS,
     SCENARIO_NAMES,
     DivergenceError,
     ExperimentConfig,
@@ -19,7 +20,9 @@ from thermoadapt import (
     metrics,
     plant_drift,
     run,
+    write_csv,
 )
+from oracles import column
 
 # small network keeps single steps ~100x cheaper than the benchmark shape
 FAST = ExperimentConfig(horizon=2.0, hidden_layers=2, hidden_width=8, log_stride=5)
@@ -41,7 +44,7 @@ def row_logs():
 
 def test_run_is_deterministic(fast_s2_log):
     again = run(FAST, "S2", 3)
-    assert np.array_equal(again.states, fast_s2_log.states)
+    assert np.array_equal(column(again, "x"), column(fast_s2_log, "x"))
     assert np.array_equal(again.final_theta, fast_s2_log.final_theta)
     assert again.sum_error_sq == fast_s2_log.sum_error_sq
 
@@ -49,16 +52,16 @@ def test_run_is_deterministic(fast_s2_log):
 def test_step_deterministic():
     one = replace(FAST, horizon=FAST.dt, log_stride=1)
     a, b = run(one, "S2", 5), run(one, "S2", 5)
-    assert np.array_equal(a.states, b.states)
+    assert np.array_equal(column(a, "x"), column(b, "x"))
     assert np.array_equal(a.final_theta, b.final_theta)
-    assert not np.array_equal(a.final_theta, a.initial_theta)
+    assert not np.array_equal(a.final_theta, one.initial_theta())
 
 
 def test_diffusion_off_runs_are_seed_independent():
     a = run(FAST, "S1", 1)
     b = run(FAST, "S1", 2)
-    assert np.array_equal(a.states, b.states)
-    assert np.array_equal(a.errors, b.errors)
+    assert np.array_equal(column(a, "x"), column(b, "x"))
+    assert np.array_equal(column(a, "e"), column(b, "e"))
     assert np.array_equal(a.final_theta, b.final_theta)
     assert a.sum_error_sq == b.sum_error_sq
     assert a.sum_func_err_sq == b.sum_func_err_sq
@@ -74,33 +77,36 @@ def test_logged_rows_self_consistent(row_logs):
     # each row's e, |e|, T and diffusion follow from its own t, x and |theta|
     for scenario, log in row_logs.items():
         law, gains = ROWS.law_for(scenario), ROWS.gains_for(scenario)
-        assert log.times.size == round(ROWS.horizon / ROWS.dt) + 1
-        for r, t in enumerate(log.times):
-            x, e = log.states[r], log.errors[r]
+        times, states, errors = column(log, "t"), column(log, "x"), column(log, "e")
+        diffusions = column(log, "diffusion")
+        assert times.size == round(ROWS.horizon / ROWS.dt) + 1
+        for r, t in enumerate(times):
+            x, e = states[r], errors[r]
             assert np.array_equal(e, x - desired(t)[0])
-            assert log.error_norms[r] == pytest.approx(np.linalg.norm(e), rel=1e-15, abs=0)
+            assert column(log, "e_norm")[r] == pytest.approx(np.linalg.norm(e), rel=1e-15, abs=0)
             # the weight law sees theta only through |theta|^2
-            mu = law.mu(x, np.array([log.weight_norms[r]]), e)
-            temp = log.temperatures[r]
+            mu = law.mu(x, np.array([column(log, "theta_norm")[r]]), e)
+            temp = column(log, "temperature")[r]
             assert temp == pytest.approx(max(float(e @ mu), 0.0), rel=1e-13, abs=0)
-            assert log.diffusions[r] == pytest.approx(
+            assert diffusions[r] == pytest.approx(
                 np.sqrt(gains.diffusion_gain * temp), rel=1e-15, abs=0
             )
         if scenario == "S1":
-            assert np.all(log.diffusions == 0.0)
+            assert np.all(diffusions == 0.0)
 
 
 def test_last_row_follows_from_final_theta(row_logs):
     net_shape = ROWS.network_shape()
     for scenario, log in row_logs.items():
-        x, e, theta = log.states[-1], log.errors[-1], log.final_theta
-        assert log.weight_norms[-1] == np.linalg.norm(theta)
-        assert log.weight_norms[0] == np.linalg.norm(log.initial_theta)
-        assert log.lyapunov_proxies[-1] == lyapunov_value(
+        x, e, theta = column(log, "x")[-1], column(log, "e")[-1], log.final_theta
+        weight_norms = column(log, "theta_norm")
+        assert weight_norms[-1] == np.linalg.norm(theta)
+        assert weight_norms[0] == np.linalg.norm(ROWS.initial_theta())
+        assert column(log, "lyapunov_proxy")[-1] == lyapunov_value(
             e, ROWS_THETA_REF - theta, ROWS.learning_rate
         )
         model = Network(net_shape, theta).forward(x)
-        assert log.func_err_norms[-1] == pytest.approx(
+        assert column(log, "func_err_norm")[-1] == pytest.approx(
             np.linalg.norm(plant_drift(x) - model), rel=1e-12, abs=0
         )
 
@@ -121,7 +127,8 @@ def test_step_reduces_to_projected_gradient_when_diffusion_off():
     expected = theta + gains.learning_rate * cfg.dt * ball.project(theta, rho)
     assert np.array_equal(log.final_theta, expected)
     u = control_input(gains, xd_rate, e, net.forward(x), mu)
-    assert np.allclose(log.states[1], x + (plant_drift(x) + u) * cfg.dt, rtol=1e-14, atol=0.0)
+    x_next = x + (plant_drift(x) + u) * cfg.dt
+    assert np.allclose(column(log, "x")[1], x_next, rtol=1e-14, atol=0.0)
 
 
 def test_step_rejects_nonpositive_dt():
@@ -133,14 +140,14 @@ def test_step_rejects_nonpositive_dt():
 def test_zero_horizon_logs_initial_state_only():
     cfg = replace(FAST, horizon=0.0)
     log = run(cfg, "S1", 0)
-    assert log.times.size == 1
+    assert log.rows.shape[0] == 1
     assert log.n_states == 1
-    assert np.array_equal(log.states[0], cfg.x0())
-    assert np.array_equal(log.initial_theta, log.final_theta)
+    assert np.array_equal(column(log, "x")[0], cfg.x0())
+    assert np.array_equal(cfg.initial_theta(), log.final_theta)
 
 
 def test_log_grid_uniform_and_monotone(fast_s2_log):
-    spacing = np.diff(fast_s2_log.times)
+    spacing = np.diff(column(fast_s2_log, "t"))
     assert np.all(spacing > 0)
     assert np.allclose(spacing, FAST.dt * FAST.log_stride, atol=1e-12)
 
@@ -158,7 +165,7 @@ def test_divergence_raises_with_partial_log():
     err = excinfo.value
     assert err.step_index >= 1
     assert err.partial_log is not None
-    assert err.partial_log.times.size >= 1
+    assert err.partial_log.rows.shape[0] >= 1
 
 
 def test_weights_never_leave_layered_region(fast_s2_log):
@@ -171,16 +178,18 @@ def test_temperature_bounded_by_error_envelope():
     cfg = FAST
     for scenario, driver in (("S2", None), ("S3", "state"), ("S4", "weight")):
         log = run(cfg, scenario, 4)
-        e_sq = log.error_norms**2
+        e_sq = column(log, "e_norm")**2
         if driver == "state":
             bound_factor = cfg.temp_quad_weight * np.max(
-                np.sum(log.states**2, axis=1)
+                np.sum(column(log, "x")**2, axis=1)
             ) + cfg.temp_scale
         elif driver == "weight":
-            bound_factor = cfg.temp_quad_weight * np.max(log.weight_norms**2) + cfg.temp_scale
+            bound_factor = (
+                cfg.temp_quad_weight * np.max(column(log, "theta_norm")**2) + cfg.temp_scale
+            )
         else:
             bound_factor = cfg.temp_scale
-        assert np.all(log.temperatures <= e_sq * bound_factor + 1e-12)
+        assert np.all(column(log, "temperature") <= e_sq * bound_factor + 1e-12)
 
 
 def test_step_size_self_consistency():
@@ -260,18 +269,36 @@ def test_projection_clip_counted():
     cfg = replace(FAST, horizon=0.3, ball_radius=radius, ball_layer=1e-3, log_stride=1)
     log = run(cfg, "S2", 0)
     assert log.clip_count > 0
-    assert int(log.clip_flags.sum()) == log.clip_count
+    assert int(column(log, "clip_flag").sum()) == log.clip_count
     assert log.max_boundary_value <= cfg.ball_layer + 1e-9
 
 
 def test_csv_written_rows(tmp_path, fast_s2_log):
-    from thermoadapt import CSV_COLUMNS, write_csv
-
     path = tmp_path / "log.csv"
     write_csv(fast_s2_log, path)
     lines = path.read_text().splitlines()
     assert lines[0] == ",".join(CSV_COLUMNS)
-    assert len(lines) == 1 + fast_s2_log.times.size
+    assert len(lines) == 1 + fast_s2_log.rows.shape[0]
     first = lines[1].split(",")
     assert float(first[0]) == 0.0
     assert len(first) == len(CSV_COLUMNS)
+
+
+@pytest.mark.parametrize("scenario", SCENARIO_NAMES)
+def test_csv_reads_back_log_rows_exactly(tmp_path, scenario):
+    # a shell at the initial weight norm makes every scenario clip
+    radius = float(np.linalg.norm(FAST.initial_theta()))
+    cfg = replace(FAST, horizon=0.3, ball_radius=radius, ball_layer=1e-3, log_stride=1)
+    log = run(cfg, scenario, 0)
+    assert log.clip_count > 0
+    path = tmp_path / f"{scenario}.csv"
+    write_csv(log, path)
+    header, *lines = path.read_text(encoding="ascii").splitlines()
+    assert tuple(header.split(",")) == CSV_COLUMNS
+    # 17 significant digits read back to the same doubles, bit for bit
+    loaded = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    assert loaded.shape == log.rows.shape
+    assert loaded.tobytes() == log.rows.tobytes()
+    clip_cells = [line.split(",")[CSV_COLUMNS.index("clip_flag")] for line in lines]
+    assert all(cell.isdigit() for cell in clip_cells)
+    assert sum(map(int, clip_cells)) == log.clip_count
