@@ -43,7 +43,6 @@ __all__ = [
     "run_batch",
     "run_experiment",
     "ScenarioSummary",
-    "SummaryTable",
     "build_summary",
     "print_summary",
     "main",
@@ -59,8 +58,7 @@ class ConfigError(ValueError):
 
 
 def _parse_scenarios(text: str) -> tuple[str, ...]:
-    items = tuple(s.strip() for s in text.split(",") if s.strip())
-    return items
+    return tuple(s.strip() for s in text.split(",") if s.strip())
 
 
 def parse_seed_spec(text: str) -> tuple[int, ...]:
@@ -180,7 +178,8 @@ def _execute_run(payload) -> list[RunResult]:
 
     A task holds more than one seed only for a scenario whose runs do not
     depend on the seed; the first seed's run then stands for all of them,
-    and its CSV is copied to every seed's path.
+    and its CSV is copied to every seed's path. A diverged run's CSV holds
+    the rows logged before the failing step.
     """
     config, scenario, seeds, theta_ref, csv_paths = payload
     try:
@@ -200,10 +199,10 @@ def _execute_run(payload) -> list[RunResult]:
             high=config.offtraj_high,
         )
         temp_means = (log.temp_mean_early, log.temp_mean_late)
-        if csv_paths is not None:
-            write_csv(log, csv_paths[0])
-            for path in csv_paths[1:]:
-                shutil.copyfile(csv_paths[0], path)
+    if csv_paths is not None:
+        write_csv(log, csv_paths[0])
+        for path in csv_paths[1:]:
+            shutil.copyfile(csv_paths[0], path)
     result = RunResult(
         scenario=scenario,
         seed=seeds[0],
@@ -269,7 +268,8 @@ def run_batch(
                 else None
             )
             tasks.append((config, scenario, seeds, theta_ref, csv_paths))
-    if workers > 1 and len(tasks) > 1:
+    workers = min(workers, len(tasks))
+    if workers > 1:
         with Pool(processes=workers) as pool:
             batches = pool.map(_execute_run, tasks, chunksize=1)
     else:
@@ -300,9 +300,14 @@ class ScenarioSummary:
     improvement_off_traj: Optional[float]
 
 
-@dataclass(frozen=True)
-class SummaryTable:
-    rows: tuple[ScenarioSummary, ...]
+# The summarized run metrics in column order: the RunResult field, the stem
+# of its ScenarioSummary fields, and the heading of its improvement column in
+# the text table, padded to that column's width.
+_METRICS = (
+    ("rms_error", "rms_error", f"{'impr_e%':>10}"),
+    ("rms_func_err", "rms_func_err", f"{'impr_f%':>10}"),
+    ("off_traj_rms", "off_traj", f"{'impr_off%':>11}"),
+)
 
 
 def _mean_std(values: Sequence[float]) -> tuple[float, float]:
@@ -312,54 +317,33 @@ def _mean_std(values: Sequence[float]) -> tuple[float, float]:
     return float(arr.mean()), float(arr.std())
 
 
-def build_summary(results: Sequence[RunResult], scenario_order: Sequence[str]) -> SummaryTable:
+def build_summary(
+    results: Sequence[RunResult], scenario_order: Sequence[str]
+) -> tuple[ScenarioSummary, ...]:
     """Aggregate per-run metrics into per-scenario means and improvements.
 
+    Means and standard deviations are over the runs that did not diverge.
     Improvements are percentage reductions relative to the S1 means,
     computed from unrounded values; they are omitted when S1 is absent.
     """
-    by_scenario = {name: [r for r in results if r.scenario == name] for name in scenario_order}
-    stats = {}
-    for name, rs in by_scenario.items():
-        ok = [r for r in rs if not r.diverged]
-        stats[name] = {
-            "runs": len(rs),
-            "diverged": len(rs) - len(ok),
-            "rms_error": _mean_std([r.rms_error for r in ok]),
-            "rms_func_err": _mean_std([r.rms_func_err for r in ok]),
-            "off_traj": _mean_std([r.off_traj_rms for r in ok]),
-        }
-    base = stats.get("S1")
-
-    def improvement(metric: str, name: str) -> Optional[float]:
-        if base is None:
-            return None
-        base_mean = base[metric][0]
-        mean = stats[name][metric][0]
-        if math.isnan(base_mean) or math.isnan(mean) or base_mean == 0.0:
-            return None
-        return 100.0 * (base_mean - mean) / base_mean
-
     rows = []
     for name in scenario_order:
-        s = stats[name]
-        rows.append(
-            ScenarioSummary(
-                scenario=name,
-                runs=s["runs"],
-                diverged=s["diverged"],
-                rms_error_mean=s["rms_error"][0],
-                rms_error_std=s["rms_error"][1],
-                rms_func_err_mean=s["rms_func_err"][0],
-                rms_func_err_std=s["rms_func_err"][1],
-                off_traj_mean=s["off_traj"][0],
-                off_traj_std=s["off_traj"][1],
-                improvement_rms_error=improvement("rms_error", name),
-                improvement_rms_func_err=improvement("rms_func_err", name),
-                improvement_off_traj=improvement("off_traj", name),
+        runs = [r for r in results if r.scenario == name]
+        ok = [r for r in runs if not r.diverged]
+        row = {"scenario": name, "runs": len(runs), "diverged": len(runs) - len(ok)}
+        for metric, stem, _ in _METRICS:
+            row[f"{stem}_mean"], row[f"{stem}_std"] = _mean_std([getattr(r, metric) for r in ok])
+        rows.append(row)
+    base = next((row for row in rows if row["scenario"] == "S1"), None)
+    for row in rows:
+        for _, stem, _ in _METRICS:
+            base_mean = math.nan if base is None else base[f"{stem}_mean"]
+            mean = row[f"{stem}_mean"]
+            row[f"improvement_{stem}"] = (
+                None if math.isnan(base_mean) or math.isnan(mean) or base_mean == 0.0
+                else 100.0 * (base_mean - mean) / base_mean
             )
-        )
-    return SummaryTable(rows=tuple(rows))
+    return tuple(ScenarioSummary(**row) for row in rows)
 
 
 _SUMMARY_FIELDS = [f.name for f in fields(ScenarioSummary)]
@@ -380,57 +364,42 @@ def _from_record(cls, rec: dict):
     })
 
 
-def _fmt_opt(value: Optional[float], fmt: str = ".17g") -> str:
-    return "" if value is None else format(value, fmt)
+def _csv_cell(value) -> str:
+    """A summary field as a CSV cell: None is empty, a float has 17 digits."""
+    if value is None:
+        return ""
+    return format(value, ".17g") if isinstance(value, float) else str(value)
 
 
-def print_summary(table: SummaryTable, fmt: str = "text") -> str:
-    """Render the summary table as text, CSV, or JSON lines.
+def print_summary(rows: Sequence[ScenarioSummary], fmt: str = "text") -> str:
+    """Render summary rows as text, CSV, or JSON lines.
 
     Columns follow the metric order tracking error, on-trajectory function
     error, off-trajectory function error.
     """
     if fmt == "text":
-        header = (
+        lines = [
             f"{'scenario':<9}{'runs':>5}{'div':>4}"
-            f"{'rms_error':>22}{'rms_func_err':>22}{'off_traj_rms':>22}"
-            f"{'impr_e%':>10}{'impr_f%':>10}{'impr_off%':>11}"
-        )
-        lines = [header]
-        for r in table.rows:
-            def pct(v: Optional[float]) -> str:
-                return "n/a" if v is None else f"{v:.2f}%"
-
-            lines.append(
-                f"{r.scenario:<9}{r.runs:>5}{r.diverged:>4}"
-                f"{f'{r.rms_error_mean:.4f} +- {r.rms_error_std:.4f}':>22}"
-                f"{f'{r.rms_func_err_mean:.4f} +- {r.rms_func_err_std:.4f}':>22}"
-                f"{f'{r.off_traj_mean:.4f} +- {r.off_traj_std:.4f}':>22}"
-                f"{pct(r.improvement_rms_error):>10}"
-                f"{pct(r.improvement_rms_func_err):>10}"
-                f"{pct(r.improvement_off_traj):>11}"
-            )
-        return "\n".join(lines) + "\n"
-    if fmt == "csv":
+            + "".join(f"{metric:>22}" for metric, _, _ in _METRICS)
+            + "".join(heading for _, _, heading in _METRICS)
+        ]
+        for r in rows:
+            line = f"{r.scenario:<9}{r.runs:>5}{r.diverged:>4}"
+            for _, stem, _ in _METRICS:
+                mean, std = getattr(r, f"{stem}_mean"), getattr(r, f"{stem}_std")
+                line += f"{f'{mean:.4f} +- {std:.4f}':>22}"
+            for _, stem, heading in _METRICS:
+                pct = getattr(r, f"improvement_{stem}")
+                line += format("n/a" if pct is None else f"{pct:.2f}%", f">{len(heading)}")
+            lines.append(line)
+    elif fmt == "csv":
         lines = [",".join(_SUMMARY_FIELDS)]
-        for r in table.rows:
-            vals = []
-            for name in _SUMMARY_FIELDS:
-                v = getattr(r, name)
-                if isinstance(v, str):
-                    vals.append(v)
-                elif isinstance(v, int):
-                    vals.append(str(v))
-                else:
-                    vals.append(_fmt_opt(v))
-            lines.append(",".join(vals))
-        return "\n".join(lines) + "\n"
-    if fmt == "jsonl":
-        lines = []
-        for r in table.rows:
-            lines.append(json.dumps(_record(r), sort_keys=True))
-        return "\n".join(lines) + "\n"
-    raise ValueError(f"unknown summary format {fmt!r}")
+        lines += [",".join(_csv_cell(getattr(r, name)) for name in _SUMMARY_FIELDS) for r in rows]
+    elif fmt == "jsonl":
+        lines = [json.dumps(_record(r), sort_keys=True) for r in rows]
+    else:
+        raise ValueError(f"unknown summary format {fmt!r}")
+    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -441,13 +410,14 @@ def run_experiment(
     config: ExperimentConfig,
     workers: int = 1,
     write_logs: bool = True,
-) -> tuple[SummaryTable, list[RunResult]]:
+) -> tuple[tuple[ScenarioSummary, ...], list[RunResult]]:
     """Run the full scenario x seed sweep and write artifacts to disk.
 
     Produces one trajectory CSV per run (unless ``write_logs`` is false),
     a ``runs.jsonl`` with per-run metrics, and the summary as
-    ``summary.json`` and ``summary.txt``. Identical configs and seeds give
-    byte-identical artifacts regardless of the worker count.
+    ``summary.json`` and ``summary.txt``, and returns the summary rows and
+    the per-run records. Identical configs and seeds give byte-identical
+    artifacts regardless of the worker count.
     """
     out_dir = Path(config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -461,24 +431,19 @@ def run_experiment(
     with open(out_dir / "runs.jsonl", "w", encoding="ascii") as fh:
         for r in results:
             fh.write(json.dumps(_record(r), sort_keys=True) + "\n")
-    table = build_summary(results, config.scenarios)
+    rows = build_summary(results, config.scenarios)
     with open(out_dir / "summary.json", "w", encoding="ascii") as fh:
-        rows = [_record(row) for row in table.rows]
-        fh.write(json.dumps({"scenarios": rows}, sort_keys=True, indent=2) + "\n")
+        records = [_record(row) for row in rows]
+        fh.write(json.dumps({"scenarios": records}, sort_keys=True, indent=2) + "\n")
     with open(out_dir / "summary.txt", "w", encoding="ascii") as fh:
-        fh.write(print_summary(table, "text"))
-    return table, results
+        fh.write(print_summary(rows, "text"))
+    return rows, results
 
 
 def load_results(out_dir) -> list[RunResult]:
     """Read back the per-run records written by :func:`run_experiment`."""
-    path = Path(out_dir) / "runs.jsonl"
-    results = []
-    with open(path, "r", encoding="ascii") as fh:
-        for line in fh:
-            if line.strip():
-                results.append(_from_record(RunResult, json.loads(line)))
-    return results
+    with open(Path(out_dir) / "runs.jsonl", "r", encoding="ascii") as fh:
+        return [_from_record(RunResult, json.loads(line)) for line in fh if line.strip()]
 
 
 # ---------------------------------------------------------------------------
@@ -526,8 +491,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             return 2
         scenario_order = [s for s in SCENARIO_NAMES
                           if any(r.scenario == s for r in results)]
-        table = build_summary(results, scenario_order)
-        sys.stdout.write(print_summary(table, args.format))
+        sys.stdout.write(print_summary(build_summary(results, scenario_order), args.format))
         return 0
 
     # validate and run
@@ -551,10 +515,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 
-    table, results = run_experiment(
-        config, workers=args.workers, write_logs=not args.no_logs
-    )
-    sys.stdout.write(print_summary(table, "text"))
+    rows, results = run_experiment(config, workers=args.workers, write_logs=not args.no_logs)
+    sys.stdout.write(print_summary(rows, "text"))
     diverged = sum(r.diverged for r in results)
     if diverged:
         print(f"{diverged} run(s) diverged; see runs.jsonl", file=sys.stderr)

@@ -9,6 +9,7 @@ off-trajectory test points drawn uniformly from (-0.5, 0.5).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,6 +69,10 @@ class ExperimentConfig:
         self.validate()
 
     def validate(self) -> None:
+        for name, value in vars(self).items():
+            entries = value if name == "initial_state" else (value,)
+            if any(isinstance(v, float) and not math.isfinite(v) for v in entries):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.horizon < 0.0:
             raise ValueError(f"horizon must be nonnegative, got {self.horizon}")
         if self.dt <= 0.0:
@@ -75,6 +80,8 @@ class ExperimentConfig:
         unknown = [s for s in self.scenarios if s not in SCENARIO_NAMES]
         if unknown:
             raise ValueError(f"unknown scenarios {unknown}; choose from {SCENARIO_NAMES}")
+        if not self.scenarios:
+            raise ValueError("scenarios must name at least one scenario")
         if len(set(self.scenarios)) != len(self.scenarios):
             raise ValueError("scenarios must not repeat")
         if not self.seeds:

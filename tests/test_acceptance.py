@@ -29,7 +29,7 @@ from thermoadapt import (
     run,
     wiener_increment,
 )
-from thermoadapt.cli import run_batch
+from thermoadapt.cli import build_summary, run_batch
 from oracles import column, finite_diff_jacobian
 
 BATTERY_SEEDS = 100
@@ -54,21 +54,12 @@ def battery():
     return config, results
 
 
-def scenario_mean(results, scenario, attr, max_seed=None):
-    vals = [
-        getattr(r, attr)
-        for r in results
-        if r.scenario == scenario
-        and not r.diverged
-        and (max_seed is None or r.seed < max_seed)
-    ]
-    return float(np.mean(vals))
-
-
-def improvement(results, scenario, attr, max_seed):
-    base = scenario_mean(results, "S1", attr, max_seed)
-    other = scenario_mean(results, scenario, attr, max_seed)
-    return 100.0 * (base - other) / base
+@pytest.fixture(scope="session")
+def trend(battery):
+    """The summary rows of the first TREND_SEEDS seeds, by scenario."""
+    config, results = battery
+    rows = build_summary([r for r in results if r.seed < TREND_SEEDS], config.scenarios)
+    return {row.scenario: row for row in rows}
 
 
 @pytest.mark.slow
@@ -148,10 +139,9 @@ def test_criterion_3_projection_safety(battery):
 
 
 @pytest.mark.slow
-def test_criterion_4a_baseline_tracking_band(battery):
+def test_criterion_4a_baseline_tracking_band(trend):
     """Baseline mean tracking RMS lands in the expected order of magnitude."""
-    _, results = battery
-    mean = scenario_mean(results, "S1", "rms_error", TREND_SEEDS)
+    mean = trend["S1"].rms_error_mean
     gate(
         "criterion 4a (baseline band)",
         0.037 <= mean <= 0.147,
@@ -160,10 +150,9 @@ def test_criterion_4a_baseline_tracking_band(battery):
 
 
 @pytest.mark.slow
-def test_criterion_4b_tracking_improvement(battery):
+def test_criterion_4b_tracking_improvement(trend):
     """Each stochastic variant cuts mean tracking RMS by at least 5%."""
-    _, results = battery
-    imps = {s: improvement(results, s, "rms_error", TREND_SEEDS) for s in ("S2", "S3", "S4")}
+    imps = {s: trend[s].improvement_rms_error for s in ("S2", "S3", "S4")}
     gate(
         "criterion 4b (tracking improvement)",
         all(v >= 5.0 for v in imps.values()),
@@ -172,7 +161,7 @@ def test_criterion_4b_tracking_improvement(battery):
 
 
 @pytest.mark.slow
-def test_criterion_4c_function_error_improvement(battery):
+def test_criterion_4c_function_error_improvement(trend):
     """Comparison target: >= 5% mean on-trajectory model-error improvement.
 
     EXPECTED RED. Measured improvement is ~0-1% for every stochastic
@@ -190,8 +179,7 @@ def test_criterion_4c_function_error_improvement(battery):
     the control law is pinned with the term, so this target is kept red
     rather than the law or the threshold being quietly changed.
     """
-    _, results = battery
-    imps = {s: improvement(results, s, "rms_func_err", TREND_SEEDS) for s in ("S2", "S3", "S4")}
+    imps = {s: trend[s].improvement_rms_func_err for s in ("S2", "S3", "S4")}
     gate(
         "criterion 4c (function-error improvement)",
         all(v >= 5.0 for v in imps.values()),
@@ -200,7 +188,7 @@ def test_criterion_4c_function_error_improvement(battery):
 
 
 @pytest.mark.slow
-def test_criterion_4d_off_trajectory_non_regression(battery):
+def test_criterion_4d_off_trajectory_non_regression(trend):
     """Comparison target: off-trajectory model error does not regress.
 
     EXPECTED RED (marginal). The off-trajectory outcome is dominated by the
@@ -213,8 +201,7 @@ def test_criterion_4d_off_trajectory_non_regression(battery):
     a fraction of a percent. The initialization seed was fixed a priori
     and is not tuned to the outcome in either direction.
     """
-    _, results = battery
-    imps = {s: improvement(results, s, "off_traj_rms", TREND_SEEDS) for s in ("S2", "S3", "S4")}
+    imps = {s: trend[s].improvement_off_traj for s in ("S2", "S3", "S4")}
     gate(
         "criterion 4d (off-trajectory non-regression)",
         all(v >= 0.0 for v in imps.values()),
@@ -223,11 +210,11 @@ def test_criterion_4d_off_trajectory_non_regression(battery):
 
 
 @pytest.mark.slow
-def test_criterion_5_steady_state_consistency(battery):
+def test_criterion_5_steady_state_consistency(battery, trend):
     """Baseline tracking RMS ~ model-error RMS / control gain (factor 2)."""
-    config, results = battery
-    rms_e = scenario_mean(results, "S1", "rms_error", TREND_SEEDS)
-    rms_f = scenario_mean(results, "S1", "rms_func_err", TREND_SEEDS)
+    config, _ = battery
+    rms_e = trend["S1"].rms_error_mean
+    rms_f = trend["S1"].rms_func_err_mean
     ratio = rms_e * config.control_gain / rms_f
     gate(
         "criterion 5 (steady-state consistency)",

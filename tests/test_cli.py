@@ -6,7 +6,7 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
-from thermoadapt import DivergenceError, ExperimentConfig, cli, run
+from thermoadapt import CSV_COLUMNS, DivergenceError, ExperimentConfig, cli, run
 from thermoadapt.cli import (
     ConfigError,
     RunResult,
@@ -167,12 +167,12 @@ def experiment_out(tmp_path_factory):
     cfg_path = out / "exp.ini"
     cfg_path.write_text(FAST_OVERRIDES.format(out=out / "results"))
     config = load_config(cfg_path)
-    table, results = run_experiment(config, workers=1)
-    return config, table, results, out / "results"
+    rows, results = run_experiment(config, workers=1)
+    return config, rows, results, out / "results"
 
 
 def test_artifact_files_exist(experiment_out):
-    config, table, results, out_dir = experiment_out
+    config, _, results, out_dir = experiment_out
     csvs = sorted(p.name for p in out_dir.glob("*.csv"))
     assert csvs == [
         f"{s}_seed{seed:04d}.csv" for s in config.scenarios for seed in config.seeds
@@ -209,8 +209,7 @@ def test_summary_improvements_reference_values():
         )
         for s, v in table_values.items()
     ]
-    table = build_summary(results, ("S1", "S2", "S3", "S4"))
-    s1, s2, s3, s4 = table.rows
+    s1, s2, s3, s4 = build_summary(results, ("S1", "S2", "S3", "S4"))
     assert s1.improvement_rms_error == pytest.approx(0.0)
     assert s2.improvement_rms_error == pytest.approx(20.1635, abs=1e-3)
     assert s3.improvement_rms_error == pytest.approx(20.0272, abs=1e-3)
@@ -220,19 +219,19 @@ def test_summary_improvements_reference_values():
 
 
 def test_summary_text_baseline_row_zero(experiment_out):
-    _, table, _, _ = experiment_out
-    text = print_summary(table, "text")
+    _, rows, _, _ = experiment_out
+    text = print_summary(rows, "text")
     s1_line = [ln for ln in text.splitlines() if ln.startswith("S1")][0]
     assert "0.00%" in s1_line
 
 
 def test_summary_csv_roundtrip(experiment_out):
     # every field of every row reads back exactly; None is an empty cell
-    _, table, _, _ = experiment_out
-    header, *lines = print_summary(table, "csv").splitlines()
+    _, rows, _, _ = experiment_out
+    header, *lines = print_summary(rows, "csv").splitlines()
     assert header.split(",") == [f.name for f in fields(ScenarioSummary)]
-    assert len(lines) == len(table.rows)
-    for line, row in zip(lines, table.rows):
+    assert len(lines) == len(rows)
+    for line, row in zip(lines, rows):
         for name, text in zip(header.split(","), line.split(",")):
             value = getattr(row, name)
             if value is None:
@@ -242,17 +241,16 @@ def test_summary_csv_roundtrip(experiment_out):
 
 
 def test_summary_jsonl_parses(experiment_out):
-    config, table, _, _ = experiment_out
-    lines = print_summary(table, "jsonl").strip().splitlines()
+    config, rows, _, _ = experiment_out
+    lines = print_summary(rows, "jsonl").strip().splitlines()
     records = [json.loads(ln) for ln in lines]
     assert [r["scenario"] for r in records] == list(config.scenarios)
 
 
 def test_single_scenario_single_row(experiment_out):
-    _, table, results, _ = experiment_out
-    only_s2 = build_summary([r for r in results if r.scenario == "S2"], ("S2",))
-    assert len(only_s2.rows) == 1
-    assert only_s2.rows[0].improvement_rms_error is None  # no baseline present
+    _, _, results, _ = experiment_out
+    (only_s2,) = build_summary([r for r in results if r.scenario == "S2"], ("S2",))
+    assert only_s2.improvement_rms_error is None  # no baseline present
 
 
 def test_reruns_are_byte_identical(tmp_path):
@@ -323,6 +321,59 @@ def test_seed_independent_scenario_integrated_once(tmp_path, monkeypatch, scenar
     assert len(csvs) == 1
 
 
+def test_pool_no_larger_than_task_list(monkeypatch):
+    # S1 once and S2 per seed make three tasks; more workers would get none
+    pool_sizes = []
+
+    class InlinePool:
+        def __init__(self, processes):
+            pool_sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc_info):
+            return False
+
+        def map(self, func, tasks, chunksize=None):
+            return [func(task) for task in tasks]
+
+    cfg = ExperimentConfig(
+        horizon=0.2,
+        hidden_layers=1,
+        hidden_width=6,
+        seeds=(0, 1),
+        scenarios=("S1", "S2"),
+        lyapunov_reference="zero",
+    )
+    sequential = [cli._record(r) for r in run_batch(cfg, workers=1)]
+    monkeypatch.setattr(cli, "Pool", InlinePool)
+    assert [cli._record(r) for r in run_batch(cfg, workers=8)] == sequential
+    assert pool_sizes == [3]
+
+
+def test_initial_lyapunov_reference(tmp_path):
+    # the reference is the initial weights, so the first logged row has no weight term
+    cfg = ExperimentConfig(
+        horizon=0.2,
+        hidden_layers=1,
+        hidden_width=6,
+        seeds=(0, 1),
+        log_stride=1,
+        output_dir=str(tmp_path),
+        lyapunov_reference="initial",
+    )
+    assert cli.resolve_theta_ref(cfg).tobytes() == cfg.initial_theta().tobytes()
+    run_experiment(cfg, workers=1)
+    e1, proxy = CSV_COLUMNS.index("e1"), CSV_COLUMNS.index("lyapunov_proxy")
+    for scenario in cfg.scenarios:
+        for seed in cfg.seeds:
+            path = tmp_path / f"{scenario}_seed{seed:04d}.csv"
+            first = np.loadtxt(path, delimiter=",", skiprows=1, max_rows=1)
+            e = first[e1:e1 + 5]
+            assert first[proxy] == 0.5 * float(e @ e)
+
+
 # -- command line -----------------------------------------------------------------
 
 
@@ -387,6 +438,25 @@ def test_out_of_range_seed_exit_2_writes_nothing(tmp_path, capsys, edit, message
         err = capsys.readouterr().err
         assert err.startswith(message)
         assert "64-bit unsigned integer" in err
+    assert not out.exists()
+
+
+# each edit makes one field non-finite or leaves no scenario; the error names
+# the config field
+@pytest.mark.parametrize("edit, field", [
+    (lambda text: text.replace("horizon = 0.5", "horizon = nan"), "horizon"),
+    (lambda text: text + "[offtrajectory]\nlow = -inf\n", "offtraj_low"),
+    (lambda text: text + "[gains]\nlearning_rate = inf\n", "learning_rate"),
+    (lambda text: text.replace("seeds = 2", "seeds = 2\ninitial_state = 0,nan,3,-3,3"),
+     "initial_state"),
+    (lambda text: text.replace("seeds = 2", "seeds = 2\nscenarios ="), "scenarios"),
+], ids=["horizon", "offtrajectory.low", "gains.learning_rate", "initial_state", "scenarios"])
+def test_non_finite_or_empty_value_exit_2_writes_nothing(tmp_path, capsys, edit, field):
+    out = tmp_path / "out"
+    path = write_config(tmp_path, edit(FAST_OVERRIDES.format(out=out)))
+    for command in (["validate"], ["run", "--workers", "2"]):
+        assert main([*command, "--config", str(path)]) == 2
+        assert capsys.readouterr().err.startswith(f"config error: {field} ")
     assert not out.exists()
 
 
@@ -475,6 +545,13 @@ def test_divergent_run_exit_3(tmp_path, capsys):
         "max_boundary_value": partial.max_boundary_value,
     }
     assert set(records[0]) == {f.name for f in fields(RunResult)}
+    # the CSV holds the rows logged before the failing step
+    logged = np.loadtxt(tmp_path / "div" / "S1_seed0000.csv", delimiter=",", skiprows=1, ndmin=2)
+    assert logged.tobytes() == partial.rows.tobytes()
+    # a scenario whose every run diverged has NaN means and no improvements
+    capsys.readouterr()
+    assert main(["summarize", "--in", str(tmp_path / "div"), "--format", "csv"]) == 0
+    assert capsys.readouterr().out.splitlines()[1] == "S1,1,1" + ",nan" * 6 + ",,,"
 
 
 @pytest.mark.parametrize("scenario", ["S1", "S2"])
@@ -493,3 +570,4 @@ def test_diverging_reference_run_exit_3(tmp_path, capsys, scenario):
     assert "1 run(s) diverged" in capsys.readouterr().err
     records = [json.loads(ln) for ln in (out / "runs.jsonl").read_text().splitlines()]
     assert [(r["scenario"], r["diverged"]) for r in records] == [(scenario, True)]
+    assert (out / f"{scenario}_seed0000.csv").exists()
