@@ -12,11 +12,9 @@ Lyapunov diagnostics, and an experiment CLI.
 
 from .config import SCENARIO_LAWS, SCENARIO_NAMES, ExperimentConfig
 from .diagnostics import (
-    GainConditionResult,
     InfeasibleConstantsError,
     LyapunovConstants,
     escape_risk,
-    gain_condition_check,
     lyapunov_value,
 )
 from .network import (
@@ -25,8 +23,6 @@ from .network import (
     NetworkEvaluator,
     NetworkShape,
     he_init,
-    swish,
-    swish_prime,
 )
 from .numerics import RandomSource, wiener_increment
 from .plant import (
@@ -36,7 +32,7 @@ from .plant import (
     desired,
     plant_drift,
 )
-from .projection import ConvexBall, Membership, ProjectionDomainError
+from .projection import ConvexBall, ProjectionDomainError
 from .sim import (
     CSV_COLUMNS,
     EARLY_WINDOW,

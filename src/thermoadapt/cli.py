@@ -31,7 +31,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .config import SCENARIO_NAMES, ExperimentConfig
+from .config import ExperimentConfig
 from .network import Network
 from .numerics import RandomSource
 from .sim import DivergenceError, MetricsReport, metrics, run as run_scenario, write_csv
@@ -489,8 +489,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         except (OSError, ValueError, KeyError) as exc:
             print(f"cannot load results from {args.in_dir}: {exc}", file=sys.stderr)
             return 2
-        scenario_order = [s for s in SCENARIO_NAMES
-                          if any(r.scenario == s for r in results)]
+        # runs.jsonl lists the runs in the sweep's scenario order
+        scenario_order = tuple(dict.fromkeys(r.scenario for r in results))
         sys.stdout.write(print_summary(build_summary(results, scenario_order), args.format))
         return 0
 

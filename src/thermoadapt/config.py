@@ -17,7 +17,7 @@ import numpy as np
 from .network import NetworkShape, he_init
 from .numerics import RandomSource
 from .plant import STATE_DIM, X0_DEFAULT
-from .projection import ConvexBall, Membership
+from .projection import ConvexBall
 from .thermo import Gains, TemperatureLaw
 
 __all__ = ["ExperimentConfig", "SCENARIO_NAMES", "SCENARIO_LAWS"]
@@ -116,7 +116,8 @@ class ExperimentConfig:
         # The components check their own parameters; S2 has exploration on,
         # so its gains include the configured diffusion gain.
         self.gains_for("S2")
-        seed_keys = [("seeds", s) for s in self.seeds] + [("offtraj_seed", self.offtraj_seed)]
+        seed_keys = [("seeds", s) for s in self.seeds]
+        seed_keys += [("offtraj_seed", self.offtraj_seed), ("init_seed", self.init_seed)]
         for key, seed in seed_keys:
             try:
                 RandomSource(seed)
@@ -124,7 +125,7 @@ class ExperimentConfig:
                 raise ValueError(f"{key}: {exc}") from None
         ball = self.ball()
         theta0 = self.initial_theta()
-        if ball.classify(theta0) is Membership.OUTSIDE:
+        if ball.boundary_fn(theta0) > ball.layer:
             raise ValueError(
                 f"ball radius {self.ball_radius:g} (layer {self.ball_layer:g}) does not "
                 f"contain the initial weights, whose norm is "

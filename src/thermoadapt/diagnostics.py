@@ -1,4 +1,4 @@
-"""Lyapunov-style diagnostics: energy value, escape risk, gain condition.
+"""Lyapunov-style diagnostics: energy value and escape risk.
 
 These calculators evaluate the stability bookkeeping around a run. The
 combined error ``z`` stacks the tracking error and a weight-error proxy;
@@ -8,14 +8,12 @@ its energy is
 
 which is sandwiched between ``alpha1 |z|^2`` and ``alpha2 |z|^2``. The
 escape risk bounds the probability that the energy ever exceeds a chosen
-level; the gain condition checks that the contraction margin dominates the
-disturbance polynomial at the initial error.
+level.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 from scipy.optimize import brentq
@@ -23,10 +21,8 @@ from scipy.optimize import brentq
 __all__ = [
     "InfeasibleConstantsError",
     "LyapunovConstants",
-    "GainConditionResult",
     "lyapunov_value",
     "escape_risk",
-    "gain_condition_check",
 ]
 
 
@@ -123,11 +119,6 @@ class LyapunovConstants:
         return lo, hi
 
 
-class GainConditionResult(NamedTuple):
-    satisfied: bool
-    margin: float
-
-
 def escape_risk(constants: LyapunovConstants, v0: float, t: float) -> float:
     """Bound on the probability that the energy ever exceeds the level.
 
@@ -154,18 +145,3 @@ def escape_risk(constants: LyapunovConstants, v0: float, t: float) -> float:
         + (v0 / level) * float(np.exp(-constants.b1 * t))
         + constants.alpha2 * constants.b1 / (level * constants.b2)
     )
-
-
-def gain_condition_check(constants: LyapunovConstants, z0_norm: float) -> GainConditionResult:
-    """Check that the contraction margin covers the initial condition.
-
-    Evaluates ``b0 >= rho(sqrt(a2/a1 * z0^2 + a2/a1 * b1/b2)) + b2`` and
-    returns the boolean along with the numeric margin (left minus right).
-    """
-    if z0_norm < 0.0:
-        raise ValueError(f"z0_norm must be nonnegative, got {z0_norm}")
-    ratio = constants.alpha2 / constants.alpha1
-    arg = np.sqrt(ratio * z0_norm * z0_norm + ratio * constants.b1 / constants.b2)
-    rhs = constants.rho(float(arg)) + constants.b2
-    margin = constants.b0 - rhs
-    return GainConditionResult(satisfied=margin >= 0.0, margin=float(margin))

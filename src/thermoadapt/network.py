@@ -36,7 +36,6 @@ workspace.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 from itertools import groupby
 from typing import Callable, Optional
 
@@ -46,8 +45,6 @@ from scipy.special import expit
 from .numerics import RandomSource
 
 __all__ = [
-    "swish",
-    "swish_prime",
     "ACTIVATIONS",
     "NetworkShape",
     "Network",
@@ -62,8 +59,7 @@ __all__ = [
 # Each activation is written through one auxiliary value a = aux(y): the
 # logistic sigmoid for swish, tanh for tanh, a copy of y for linear. A
 # formula ``f(y, a, out)`` writes the value or the slope at y into ``out``
-# from y and a, so the evaluator calls the transcendental once per layer
-# and the public functions below share the same formulas.
+# from y and a, so the evaluator calls the transcendental once per layer.
 
 
 def _swish_value(y, s, out):
@@ -95,33 +91,10 @@ def _unit_slope(y, a, out):
 
 
 # name -> (auxiliary ufunc, value formula, slope formula)
-_FORMULAS = {
+ACTIVATIONS: dict[str, tuple[Callable, Callable, Callable]] = {
     "swish": (expit, _swish_value, _swish_slope),
     "tanh": (np.tanh, _aux_value, _tanh_slope),
     "linear": (np.positive, _aux_value, _unit_slope),
-}
-
-
-def _apply(formula: Callable, aux: Callable, y) -> np.ndarray:
-    """``formula(y, aux(y))`` on a fresh array, or a scalar for scalar ``y``."""
-    y = np.asarray(y, dtype=float)
-    return formula(y, aux(y), np.empty_like(y))[()]
-
-
-def swish(y):
-    """Swish activation ``y * sigmoid(y)``, a smooth ramp."""
-    return _apply(_swish_value, expit, y)
-
-
-def swish_prime(y):
-    """First derivative of swish: ``s(y) * (1 + y * (1 - s(y)))``."""
-    return _apply(_swish_slope, expit, y)
-
-
-# name -> (value, slope), each a function of y
-ACTIVATIONS: dict[str, tuple[Callable, Callable]] = {
-    name: (partial(_apply, value, aux), partial(_apply, slope, aux))
-    for name, (aux, value, slope) in _FORMULAS.items()
 }
 
 
@@ -185,13 +158,6 @@ class Network:
                 f"theta has {theta.size} entries, shape needs {self.shape.param_count}"
             )
         object.__setattr__(self, "theta", theta)
-
-    def weight_matrices(self) -> list[np.ndarray]:
-        """Views of the flat vector as per-layer matrices (column-major)."""
-        return [
-            self.theta[a:b].reshape(shape, order="F")
-            for (a, b), shape in zip(self.shape.segments, self.shape.matrix_shapes)
-        ]
 
     def _check_input(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -291,7 +257,7 @@ class NetworkEvaluator:
 
     def __init__(self, shape: NetworkShape):
         self.shape = shape
-        self._aux, self._value, self._slope = _FORMULAS[shape.activation]
+        self._aux, self._value, self._slope = ACTIVATIONS[shape.activation]
         self._workspaces: dict[int, _Workspace] = {}
 
     def evaluate(

@@ -11,22 +11,15 @@ the update law smooth.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["Membership", "ConvexBall", "ProjectionDomainError"]
+__all__ = ["ConvexBall", "ProjectionDomainError"]
 
 
 class ProjectionDomainError(ValueError):
     """The supplied point lies outside the admissible layered region."""
-
-
-class Membership(enum.Enum):
-    INTERIOR = "interior"
-    LAYER = "layer"
-    OUTSIDE = "outside"
 
 
 @dataclass(frozen=True)
@@ -50,15 +43,6 @@ class ConvexBall:
         """Smooth convex boundary function, negative inside the ball."""
         theta = np.asarray(theta, dtype=float)
         return float(theta @ theta - self.radius * self.radius)
-
-    def classify(self, theta: np.ndarray) -> Membership:
-        """Which part of the layered region the point is in."""
-        v = self.boundary_fn(theta)
-        if v <= 0.0:
-            return Membership.INTERIOR
-        if v <= self.layer:
-            return Membership.LAYER
-        return Membership.OUTSIDE
 
     def project(self, theta: np.ndarray, m: np.ndarray) -> np.ndarray:
         """Project an increment ``m`` taken at the point ``theta``.

@@ -52,20 +52,20 @@ def internal_energy(e, e_dot, theta_hat, forgetting_factor: float) -> float:
     return float(e @ e_dot) + 0.5 * forgetting_factor * float(theta_hat @ theta_hat)
 
 
-def _reference_swish_prime(y):
+def _reference_swish_slope(y):
     s = expit(y)
     return s * (1.0 + y * (1.0 - s))
 
 
-def _reference_tanh_prime(y):
+def _reference_tanh_slope(y):
     t = np.tanh(y)
     return 1.0 - t * t
 
 
 # name -> (value, slope), each formula computed directly from y
 REFERENCE_ACTIVATIONS = {
-    "swish": (lambda y: y * expit(y), _reference_swish_prime),
-    "tanh": (np.tanh, _reference_tanh_prime),
+    "swish": (lambda y: y * expit(y), _reference_swish_slope),
+    "tanh": (np.tanh, _reference_tanh_slope),
     "linear": (lambda y: np.asarray(y, dtype=float),
                lambda y: np.ones_like(np.asarray(y, dtype=float))),
 }

@@ -424,12 +424,24 @@ def test_run_small_ball_exit_2_writes_nothing(tmp_path, capsys):
         assert not out.exists()
 
 
+def test_ball_containment_at_layer_edge():
+    # the initial weights may sit in the boundary layer but not beyond it
+    config = ExperimentConfig()
+    sq_norm = float(config.initial_theta() @ config.initial_theta())
+    layer = config.ball_layer
+    replace(config, ball_radius=np.sqrt(sq_norm - layer / 2))
+    with pytest.raises(ValueError, match="ball radius .* does not contain"):
+        replace(config, ball_radius=np.sqrt(sq_norm - 2 * layer))
+
+
 # each edit puts a seed outside the 64-bit range the random streams accept;
 # the error names the config field that holds it
 @pytest.mark.parametrize("edit, message", [
     (lambda text: text.replace("seeds = 2", "seeds = -1,2"), "config error: seeds: "),
     (lambda text: text + "[offtrajectory]\nseed = -5\n", "config error: offtraj_seed: "),
-], ids=["seeds", "offtrajectory.seed"])
+    (lambda text: text.replace("seeds = 2", "seeds = 2\ninit_seed = -1"),
+     "config error: init_seed: "),
+], ids=["seeds", "offtrajectory.seed", "experiment.init_seed"])
 def test_out_of_range_seed_exit_2_writes_nothing(tmp_path, capsys, edit, message):
     out = tmp_path / "out"
     path = write_config(tmp_path, edit(FAST_OVERRIDES.format(out=out)))
@@ -491,6 +503,21 @@ def test_run_and_summarize_cli(tmp_path, capsys):
     assert main(["summarize", "--in", str(tmp_path / "out"), "--format", "csv"]) == 0
     csv_text = capsys.readouterr().out
     assert csv_text.splitlines()[0].startswith("scenario,")
+
+
+def test_summarize_keeps_sweep_scenario_order(tmp_path, capsys):
+    out = tmp_path / "out"
+    config = ExperimentConfig(
+        horizon=0.05,
+        hidden_layers=1,
+        hidden_width=6,
+        scenarios=("S3", "S1"),
+        output_dir=str(out),
+        lyapunov_reference="zero",
+    )
+    run_experiment(config, write_logs=False)
+    assert main(["summarize", "--in", str(out)]) == 0
+    assert capsys.readouterr().out == (out / "summary.txt").read_text()
 
 
 def test_cli_overrides(tmp_path, capsys):

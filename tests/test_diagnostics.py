@@ -1,15 +1,13 @@
-"""Lyapunov-value algebra, escape risk, and the gain condition."""
+"""Lyapunov-value algebra and escape risk."""
 
 import numpy as np
 import pytest
 
 from thermoadapt import (
-    GainConditionResult,
     InfeasibleConstantsError,
     LyapunovConstants,
     RandomSource,
     escape_risk,
-    gain_condition_check,
     lyapunov_value,
 )
 
@@ -117,30 +115,6 @@ def test_escape_risk_empty_interval():
 def test_escape_risk_level_out_of_interval():
     with pytest.raises(InfeasibleConstantsError):
         escape_risk(make_constants(level=1e6), 0.0, 1.0)
-
-
-def test_gain_condition_satisfied_for_large_margin():
-    c = make_constants(b0=1e6)
-    result = gain_condition_check(c, z0_norm=1.0)
-    assert isinstance(result, GainConditionResult)
-    assert result.satisfied
-    assert result.margin > 0
-
-
-def test_gain_condition_zero_state_zero_offset():
-    # with z0 = 0 and b1 = 0 the condition collapses to b0 >= b2
-    c = make_constants(b1=0.0)
-    result = gain_condition_check(c, 0.0)
-    assert result.margin == pytest.approx(c.b0 - c.b2)
-    assert result.satisfied
-
-
-def test_gain_condition_monotone_in_initial_error():
-    c = make_constants()
-    margins = [gain_condition_check(c, z).margin for z in np.linspace(0.0, 5.0, 40)]
-    assert all(a >= b for a, b in zip(margins, margins[1:]))
-    flips = [gain_condition_check(c, z).satisfied for z in np.linspace(0.0, 5.0, 40)]
-    assert flips == sorted(flips, reverse=True)  # once violated, stays violated
 
 
 def test_constants_validation():

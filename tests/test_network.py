@@ -12,8 +12,6 @@ from thermoadapt import (
     NetworkShape,
     RandomSource,
     he_init,
-    swish,
-    swish_prime,
 )
 from oracles import finite_diff_jacobian, reference_evaluate
 
@@ -62,11 +60,11 @@ def test_theta_length_checked():
 
 
 def test_matrix_roundtrip():
-    net = he_init(NetworkShape(3, (4, 5), 2), RandomSource(3))
-    mats = net.weight_matrices()
-    assert [m.shape for m in mats] == [(4, 4), (5, 5), (6, 2)]
-    rebuilt = np.concatenate([m.reshape(-1, order="F") for m in mats])
-    assert np.array_equal(rebuilt, net.theta)
+    # the layer slices tile the flat vector, each the size of its matrix
+    shape = NetworkShape(3, (4, 5), 2)
+    assert shape.matrix_shapes == ((4, 4), (5, 5), (6, 2))
+    assert shape.segments == ((0, 16), (16, 41), (41, 53))
+    assert shape.param_count == 53
 
 
 # -- initialization ------------------------------------------------------------
@@ -128,37 +126,47 @@ def test_forward_single_linear_layer():
     shape = NetworkShape(3, (), 2)
     net = he_init(shape, RandomSource(2))
     x = np.array([0.2, -0.4, 1.0])
-    v1 = net.weight_matrices()[0]
+    v1 = net.theta.reshape(shape.matrix_shapes[0], order="F")
     assert np.allclose(net.forward(x), v1.T @ np.append(x, 1.0))
 
 
 # -- activations ---------------------------------------------------------------
 
 
+def activation(name, y):
+    """Value and slope at the points ``y`` from an ``ACTIVATIONS`` entry."""
+    aux, value, slope = ACTIVATIONS[name]
+    y = np.asarray(y, dtype=float)
+    a = aux(y)
+    return value(y, a, np.empty_like(y)), slope(y, a, np.empty_like(y))
+
+
 def test_swish_values():
-    assert swish(0.0) == 0.0
-    assert swish_prime(0.0) == pytest.approx(0.5)
-    assert abs(swish(40.0) / 40.0 - 1.0) < 1e-12
+    value, slope = activation("swish", [0.0, 40.0])
+    assert value[0] == 0.0
+    assert slope[0] == pytest.approx(0.5)
+    assert abs(value[1] / 40.0 - 1.0) < 1e-12
 
 
 def test_swish_derivatives_match_finite_differences():
     ys = np.linspace(-6.0, 6.0, 25)
     h = 1e-6
-    d1 = (swish(ys + h) - swish(ys - h)) / (2 * h)
-    assert np.allclose(swish_prime(ys), d1, atol=1e-9)
+    d1 = (activation("swish", ys + h)[0] - activation("swish", ys - h)[0]) / (2 * h)
+    assert np.allclose(activation("swish", ys)[1], d1, atol=1e-9)
 
 
 def test_swish_bounds_on_grid():
     grid = np.arange(-50.0, 50.0001, 1e-4)
-    assert abs(np.max(np.abs(swish_prime(grid))) - 1.0998) < 2e-4  # sup |swish'|
-    assert np.all(np.abs(swish(grid)) <= np.abs(grid))
+    value, slope = activation("swish", grid)
+    assert abs(np.max(np.abs(slope)) - 1.0998) < 2e-4  # sup |swish'|
+    assert np.all(np.abs(value) <= np.abs(grid))
 
 
 def test_linear_stub_bounds():
-    act, slope = ACTIVATIONS["linear"]
     grid = np.arange(-10.0, 10.0001, 1e-3)
-    assert np.array_equal(act(grid), grid)
-    assert np.array_equal(slope(grid), np.ones_like(grid))
+    value, slope = activation("linear", grid)
+    assert np.array_equal(value, grid)
+    assert np.array_equal(slope, np.ones_like(grid))
 
 
 # -- weight jacobian -----------------------------------------------------------

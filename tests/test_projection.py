@@ -1,9 +1,9 @@
-"""Projection operator: branch behavior, membership, and shell clipping."""
+"""Projection operator: branch behavior, domain checks, and shell clipping."""
 
 import numpy as np
 import pytest
 
-from thermoadapt import ConvexBall, Membership, ProjectionDomainError, RandomSource
+from thermoadapt import ConvexBall, ProjectionDomainError, RandomSource
 
 BALL = ConvexBall(radius=20.0, layer=0.1)
 
@@ -36,17 +36,12 @@ def test_outer_shell_tangent_increment_unchanged():
     assert np.array_equal(out, m)
 
 
-def test_classify_examples():
-    assert BALL.classify(np.zeros(4)) is Membership.INTERIOR
-    inside_layer = np.sqrt(BALL.radius**2 + BALL.layer / 2) * np.array([1.0, 0.0])
-    assert BALL.classify(inside_layer) is Membership.LAYER
-    outside = np.sqrt(BALL.radius**2 + 2 * BALL.layer) * np.array([1.0, 0.0])
-    assert BALL.classify(outside) is Membership.OUTSIDE
-
-
 def test_boundary_of_ball_counts_as_interior():
+    # on the ball's surface the fade is zero, so even an outward increment passes
     theta = BALL.radius * np.array([0.0, 1.0])
-    assert BALL.classify(theta) is Membership.INTERIOR
+    assert BALL.boundary_fn(theta) == 0.0
+    m = np.array([0.5, 2.0])
+    assert np.array_equal(BALL.project(theta, m), m)
 
 
 def test_random_interior_points_identity():
