@@ -64,17 +64,44 @@ CSV_COLUMNS = (
 EARLY_WINDOW = (0.0, 5.0)
 LATE_WINDOW = (25.0, 30.0)
 
+# Steps whose desired trajectory run evaluates in one call; all 30 001 of a
+# paper run would cost 2.4 MB.
+_DESIRED_BLOCK = 1024
+
 
 class DivergenceError(RuntimeError):
-    """A state component became non-finite during integration."""
+    """The state or the weights became non-finite during integration."""
 
-    def __init__(self, step_index: int, time: float, partial_log: TrajectoryLog):
-        super().__init__(
-            f"non-finite state at step {step_index} (t = {time:.6g} s)"
-        )
+    def __init__(self, message: str, step_index: int, time: float, partial_log: TrajectoryLog):
+        super().__init__(message)
         self.step_index = step_index
         self.time = time
         self.partial_log = partial_log
+
+
+def _divergence_message(
+    step_index: int,
+    time: float,
+    x_new: np.ndarray,
+    theta_new: np.ndarray,
+    x_norm: float,
+    theta_norm: float,
+) -> Optional[str]:
+    """Name the first non-finite entry of the stepped state and of the
+    stepped weights, and the norms before the step; None when every entry
+    is finite (a squared norm overflowed)."""
+    failed = {}
+    for name, what, values in (("x", "state", x_new), ("theta", "weights", theta_new)):
+        bad = np.flatnonzero(~np.isfinite(values))
+        if bad.size:
+            failed[what] = f"{name}[{bad[0]}] = {float(values[bad[0]])!r}"
+    if not failed:
+        return None
+    return (
+        f"non-finite {' and '.join(failed)} at step {step_index} (t = {time:.6g} s): "
+        f"{', '.join(failed.values())}; last finite |x| = {x_norm:.6g}, "
+        f"|theta| = {theta_norm:.6g}"
+    )
 
 
 @dataclass
@@ -118,7 +145,8 @@ def run(
 
     ``theta_ref`` is the reference for the logged Lyapunov proxy (zero
     vector when omitted). Raises :class:`DivergenceError` with the partial
-    log attached if the state blows up.
+    log attached if the state or the weights blow up; its message names the
+    first non-finite entry and the last finite |x| and |theta|.
     """
     if scenario not in SCENARIO_LAWS:
         raise ValueError(f"unknown scenario {scenario!r}")
@@ -136,8 +164,20 @@ def run(
     stride = config.log_stride
     n_steps = int(round(config.horizon / dt))
     n_rows = n_steps // stride + 1
+    lr = gains.learning_rate
+    explore = gains.diffusion_gain > 0.0
+    radius_sq = ball.radius * ball.radius
 
     rows = np.empty((n_rows, len(CSV_COLUMNS)))
+    # Summed in step order, so times[i] is the running t += dt bit for bit.
+    times = np.zeros(n_steps + 1)
+    np.cumsum(np.full(n_steps, dt), out=times[1:])
+    # The scaled projected increment, and the weights the step writes.
+    increment = np.empty(theta.size)
+    theta_next = np.empty(theta.size)
+    # |x|^2 and |theta|^2 of the current state, once per step.
+    x_sq = float(x.dot(x))
+    theta_sq = float(theta.dot(theta))
 
     sum_error_sq = 0.0
     sum_func_err_sq = 0.0
@@ -150,7 +190,6 @@ def run(
     max_boundary_value = -np.inf
     row = 0
     i = 0
-    t = 0.0
 
     def _build_log(rows_filled: int) -> TrajectoryLog:
         early = temp_sums[0] / temp_counts[0] if temp_counts[0] else float("nan")
@@ -170,8 +209,13 @@ def run(
         )
 
     while True:
+        k = i % _DESIRED_BLOCK
+        if k == 0:
+            xd_block, rate_block = desired(times[i:i + _DESIRED_BLOCK])
+        t = float(times[i])
+        xd, xd_rate = xd_block[:, k], rate_block[:, k]
+
         # Per-state quantities, logged and used by the step.
-        xd, xd_rate = desired(t)
         e = x - xd
         phi, jte = evaluator.evaluate(theta, x[None], e[None])
         phi, jte = phi[0], jte[0]
@@ -179,13 +223,16 @@ def run(
         temp = law.temperature(e, mu)
         intensity = diffusion_coefficient(gains, temp)
         f_val = plant_drift(x)
-        func_err = float(np.linalg.norm(f_val - phi))
+        func_gap = f_val - phi
+        func_err = math.sqrt(func_gap.dot(func_gap))
 
-        e_sq = float(e @ e)
+        e_sq = float(e.dot(e))
         e_norm = math.sqrt(e_sq)
+        x_norm = math.sqrt(x_sq)
+        theta_norm = math.sqrt(theta_sq)
         sum_error_sq += e_sq
         sum_func_err_sq += func_err * func_err
-        sup_state_norm = max(sup_state_norm, float(np.linalg.norm(x)))
+        sup_state_norm = max(sup_state_norm, x_norm)
         sup_error_norm = max(sup_error_norm, e_norm)
         if EARLY_WINDOW[0] <= t <= EARLY_WINDOW[1]:
             temp_sums[0] += temp
@@ -193,7 +240,7 @@ def run(
         if LATE_WINDOW[0] <= t <= LATE_WINDOW[1]:
             temp_sums[1] += temp
             temp_counts[1] += 1
-        max_boundary_value = max(max_boundary_value, ball.boundary_fn(theta))
+        max_boundary_value = max(max_boundary_value, theta_sq - radius_sq)
 
         if i % stride == 0:
             out = rows[row]
@@ -201,10 +248,10 @@ def run(
             out[1:6] = x
             out[6:11] = e
             out[11] = e_norm
-            out[12] = np.linalg.norm(theta)
+            out[12] = theta_norm
             out[13] = temp
             out[14] = intensity
-            out[15] = lyapunov_value(e, theta_ref - theta, gains.learning_rate)
+            out[15] = lyapunov_value(e, theta_ref - theta, lr)
             out[16] = func_err
             out[17] = clips_since_row
             clips_since_row = 0
@@ -216,22 +263,32 @@ def run(
         # Euler-Maruyama update; both projections are taken at the pre-step weights.
         x_new = x + (f_val + control_input(gains, xd_rate, e, phi, mu)) * dt
         rho = drift(law, gains, jte, x, theta, e)
-        theta_new = theta + (gains.learning_rate * dt) * ball.project(theta, rho)
-        if gains.diffusion_gain > 0.0:
+        np.multiply(ball.project(theta, rho), lr * dt, out=increment)
+        np.add(theta, increment, out=theta_next)
+        if explore:
             dw = wiener_increment(rng, theta.size, dt)
-            theta_new = theta_new + gains.learning_rate * ball.project(theta, intensity * dw)
-        theta_new, clipped = ball.clip(theta_new)
+            np.multiply(dw, intensity, out=dw)
+            np.multiply(ball.project(theta, dw), lr, out=increment)
+            np.add(theta_next, increment, out=theta_next)
+        theta_new, clipped = ball.clip(theta_next)
         if clipped:
             clip_count += 1
             clips_since_row += 1
-        if not (np.isfinite(x_new).all() and np.isfinite(theta_new).all()):
-            raise DivergenceError(
-                step_index=i + 1, time=t + dt, partial_log=_build_log(row)
+        # After the clip |theta|^2 is finite exactly when every entry is; an
+        # overflowing |x|^2 is told from a non-finite entry in the check.
+        x_sq = float(x_new.dot(x_new))
+        theta_sq = float(theta_new.dot(theta_new))
+        if not (math.isfinite(x_sq) and math.isfinite(theta_sq)):
+            message = _divergence_message(
+                i + 1, t + dt, x_new, theta_new, x_norm, theta_norm
             )
+            if message is not None:
+                raise DivergenceError(message, i + 1, t + dt, _build_log(row))
+        # The old weights' array takes the next step's weights.
+        theta_next = theta
         x = x_new
         theta = theta_new
         i += 1
-        t += dt
 
 
 def metrics(

@@ -85,6 +85,11 @@ class TemperatureLaw:
         if self.kind not in LAW_KINDS:
             raise ValueError(f"unknown temperature law {self.kind!r}")
 
+    @property
+    def depends_on_weights(self) -> bool:
+        """Whether ``mu`` varies with the weights; only the weight law's does."""
+        return self.kind == "weight"
+
     def mu(self, x: np.ndarray, theta_hat: np.ndarray, e: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         e = np.asarray(e, dtype=float)
@@ -113,7 +118,7 @@ class TemperatureLaw:
         """
         e = np.asarray(e, dtype=float)
         theta_hat = np.asarray(theta_hat, dtype=float)
-        if self.kind in ("error", "state"):
+        if not self.depends_on_weights:
             return np.zeros(theta_hat.size)
         return (2.0 * self.quad_weight * float(e @ e)) * theta_hat
 
@@ -132,10 +137,14 @@ def drift(
     the approximation-error pull ``jte = J.T e`` (``J`` is the network's
     weight Jacobian at ``x``, the product comes from
     ``NetworkEvaluator.evaluate``), the temperature-coupling correction, and
-    the forgetting pull toward zero.
+    the forgetting pull toward zero. The correction is left out, not added
+    as zeros, for laws whose ``mu`` does not depend on the weights.
     """
+    pull = gains.forgetting_factor * theta_hat
+    if not law.depends_on_weights:
+        return jte - pull
     rho = jte + gains.thermal_coeff * law.mu_jacobian_applied(x, theta_hat, e)
-    rho -= gains.forgetting_factor * theta_hat
+    rho -= pull
     return rho
 
 
