@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 __all__ = [
     "InfeasibleConstantsError",
@@ -94,6 +93,10 @@ class LyapunovConstants:
             raise ValueError(f"rho_inverse is defined for y >= 0, got {y}")
         if y == 0.0:
             return 0.0
+        # Imported on first use: no run calls this, and scipy.optimize adds
+        # about a third to every process's import time and memory.
+        from scipy.optimize import brentq
+
         hi = 1.0
         while self.rho(hi) < y:
             hi *= 2.0

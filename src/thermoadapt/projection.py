@@ -44,6 +44,16 @@ class ConvexBall:
         theta = np.asarray(theta, dtype=float)
         return float(theta @ theta - self.radius * self.radius)
 
+    def is_inside(self, theta_sq: float) -> bool:
+        """Whether a point of squared norm ``theta_sq`` lies strictly inside
+        the ball, where :meth:`project` passes every increment through."""
+        return theta_sq - self.radius * self.radius < 0.0
+
+    def is_within_shell(self, theta_sq: float) -> bool:
+        """Whether a point of squared norm ``theta_sq`` lies within the outer
+        shell, where :meth:`clip` leaves it; false for a non-finite one."""
+        return theta_sq - self.radius * self.radius <= self.layer
+
     def project(self, theta: np.ndarray, m: np.ndarray) -> np.ndarray:
         """Project an increment ``m`` taken at the point ``theta``.
 
@@ -58,13 +68,14 @@ class ConvexBall:
         """
         theta = np.asarray(theta, dtype=float)
         m = np.asarray(m, dtype=float)
-        value = theta @ theta - self.radius * self.radius
+        sq = float(theta @ theta)
+        value = sq - self.radius * self.radius
         if value > self.layer * (1.0 + 1e-9) + 1e-12 * self.radius * self.radius:
             raise ProjectionDomainError(
                 f"point with boundary value {value:.6g} is outside the layer "
                 f"(limit {self.layer:.6g})"
             )
-        if value < 0.0:
+        if self.is_inside(sq):
             return m
         grad = 2.0 * theta
         outward = grad @ m
@@ -82,7 +93,6 @@ class ConvexBall:
         """
         theta = np.asarray(theta, dtype=float)
         sq = float(theta @ theta)
-        limit = self.radius * self.radius + self.layer
-        if sq - self.radius * self.radius <= self.layer:
+        if self.is_within_shell(sq):
             return theta, False
-        return theta * np.sqrt(limit / sq), True
+        return theta * np.sqrt((self.radius * self.radius + self.layer) / sq), True

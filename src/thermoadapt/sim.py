@@ -191,11 +191,11 @@ def run(
     row = 0
     i = 0
 
-    def _build_log(rows_filled: int) -> TrajectoryLog:
+    def _build_log(rows_done: np.ndarray) -> TrajectoryLog:
         early = temp_sums[0] / temp_counts[0] if temp_counts[0] else float("nan")
         late = temp_sums[1] / temp_counts[1] if temp_counts[1] else float("nan")
         return TrajectoryLog(
-            rows=rows[:rows_filled].copy(),
+            rows=rows_done,
             n_states=i + 1,
             sum_error_sq=sum_error_sq,
             sum_func_err_sq=sum_func_err_sq,
@@ -258,32 +258,39 @@ def run(
             row += 1
 
         if i == n_steps:
-            return _build_log(row)
+            return _build_log(rows)
 
-        # Euler-Maruyama update; both projections are taken at the pre-step weights.
+        # Euler-Maruyama update; both projections are taken at the pre-step
+        # weights, and inside the ball they pass every increment through.
         x_new = x + (f_val + control_input(gains, xd_rate, e, phi, mu)) * dt
+        inside = ball.is_inside(theta_sq)
         rho = drift(law, gains, jte, x, theta, e)
-        np.multiply(ball.project(theta, rho), lr * dt, out=increment)
+        np.multiply(rho if inside else ball.project(theta, rho), lr * dt, out=increment)
         np.add(theta, increment, out=theta_next)
         if explore:
             dw = wiener_increment(rng, theta.size, dt)
             np.multiply(dw, intensity, out=dw)
-            np.multiply(ball.project(theta, dw), lr, out=increment)
+            np.multiply(dw if inside else ball.project(theta, dw), lr, out=increment)
             np.add(theta_next, increment, out=theta_next)
-        theta_new, clipped = ball.clip(theta_next)
-        if clipped:
+        # One |theta|^2 of the stepped weights decides the clip and, when they
+        # stay within the shell, serves the next step. A non-finite one fails
+        # the shell test, so such weights are clipped and counted as before.
+        theta_new = theta_next
+        theta_sq = float(theta_next.dot(theta_next))
+        if not ball.is_within_shell(theta_sq):
+            theta_new, _ = ball.clip(theta_next)
             clip_count += 1
             clips_since_row += 1
+            theta_sq = float(theta_new.dot(theta_new))
         # After the clip |theta|^2 is finite exactly when every entry is; an
         # overflowing |x|^2 is told from a non-finite entry in the check.
         x_sq = float(x_new.dot(x_new))
-        theta_sq = float(theta_new.dot(theta_new))
         if not (math.isfinite(x_sq) and math.isfinite(theta_sq)):
             message = _divergence_message(
                 i + 1, t + dt, x_new, theta_new, x_norm, theta_norm
             )
             if message is not None:
-                raise DivergenceError(message, i + 1, t + dt, _build_log(row))
+                raise DivergenceError(message, i + 1, t + dt, _build_log(rows[:row].copy()))
         # The old weights' array takes the next step's weights.
         theta_next = theta
         x = x_new

@@ -1,11 +1,16 @@
 """Config parsing, experiment driver artifacts, and the summary table."""
 
 import json
+import os
+import subprocess
+import sys
 from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import thermoadapt
 from thermoadapt import CSV_COLUMNS, DivergenceError, ExperimentConfig, cli, run
 from thermoadapt.cli import (
     ConfigError,
@@ -350,6 +355,64 @@ def test_pool_no_larger_than_task_list(monkeypatch):
     monkeypatch.setattr(cli, "Pool", InlinePool)
     assert [cli._record(r) for r in run_batch(cfg, workers=8)] == sequential
     assert pool_sizes == [3]
+
+
+def run_script(tmp_path, text):
+    """Run ``text`` as a script in a fresh interpreter that imports this
+    package; returns its standard output."""
+    script = tmp_path / "script.py"
+    script.write_text(text)
+    src = str(Path(thermoadapt.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, str(script)],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env={**os.environ, "PYTHONPATH": src},
+        cwd=tmp_path,
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+def test_runs_do_not_import_root_finder(tmp_path):
+    # scipy.optimize adds about a third to every process's import time and
+    # memory; only rho_inverse loads it
+    (tmp_path / "exp.ini").write_text("")
+    out = run_script(tmp_path, """
+import sys
+from thermoadapt import ExperimentConfig, LyapunovConstants, cli, escape_risk
+cfg = ExperimentConfig(horizon=0.05, hidden_layers=1, hidden_width=4, seeds=(0,),
+                       scenarios=("S1", "S2"), lyapunov_reference="zero")
+cli.run_batch(cfg)
+assert cli.main(["validate", "--config", "exp.ini"]) == 0
+print("scipy.optimize" in sys.modules)
+constants = LyapunovConstants(learning_rate=1.0, b0=10.0, b1=0.01, b2=0.5, rho_a0=1.0,
+                              rho_a1=1.0, rho_a2=1.0, xd_bound=3.3166, level=0.05)
+print(repr(escape_risk(constants, 0.001, 2.0)))
+""")
+    # the risk as the module computed it with brentq imported at the top
+    assert out.splitlines()[-2:] == ["False", "0.22786982411576248"]
+
+
+def test_spawned_workers_match_one_worker(tmp_path):
+    # Compared as reprs: a NaN field (no late-window temperature in a 0.2 s
+    # run) makes equal records compare unequal.
+    out = run_script(tmp_path, """
+import multiprocessing
+from thermoadapt import ExperimentConfig
+from thermoadapt.cli import run_batch
+
+if __name__ == "__main__":
+    multiprocessing.set_start_method("spawn")
+    cfg = ExperimentConfig(horizon=0.2, hidden_layers=1, hidden_width=6, seeds=(0, 1),
+                           scenarios=("S1", "S2"), lyapunov_reference="zero")
+    print(repr(run_batch(cfg, workers=1)))
+    print(repr(run_batch(cfg, workers=2)))
+""")
+    one, two = out.splitlines()
+    assert "nan" in one
+    assert two == one
 
 
 def test_initial_lyapunov_reference(tmp_path):

@@ -113,6 +113,29 @@ def test_clip_rescales_onto_outer_shell():
     BALL.project(out, np.array([1.0, 1.0, 1.0]))
 
 
+@pytest.mark.parametrize("norm, inside, within", [
+    (19.99, True, True),
+    (20.0, False, True),  # the ball's surface is in the layer
+    (20.0024, False, True),  # |theta|^2 = 400.096, inside the outer shell
+    (20.003, False, False),
+    (np.nan, False, False),  # a non-finite point is always clipped
+])
+def test_squared_norm_tests_match_project_and_clip(norm, inside, within):
+    theta = np.array([norm, 0.0])
+    sq = float(theta @ theta)
+    assert BALL.is_inside(sq) is inside
+    assert BALL.is_within_shell(sq) is within
+    assert BALL.clip(theta)[1] is not within
+    if within:
+        m = np.array([1.0, 0.0])  # outward
+        assert (BALL.project(theta, m) is m) is inside
+
+
+def test_infinite_squared_norm_is_past_the_shell():
+    assert not BALL.is_inside(np.inf)
+    assert not BALL.is_within_shell(np.inf)
+
+
 def test_ball_validation():
     with pytest.raises(ValueError):
         ConvexBall(radius=0.0)
