@@ -125,11 +125,11 @@ class ExperimentConfig:
                 raise ValueError(f"{key}: {exc}") from None
         ball = self.ball()
         theta0 = self.initial_theta()
-        if ball.boundary_fn(theta0) > ball.layer:
+        theta0_sq = float(theta0.dot(theta0))
+        if not ball.is_within_shell(theta0_sq):
             raise ValueError(
                 f"ball radius {self.ball_radius:g} (layer {self.ball_layer:g}) does not "
-                f"contain the initial weights, whose norm is "
-                f"{np.linalg.norm(theta0):.2f}"
+                f"contain the initial weights, whose norm is {math.sqrt(theta0_sq):.2f}"
             )
 
     # Derived pieces -------------------------------------------------------

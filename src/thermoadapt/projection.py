@@ -89,10 +89,14 @@ class ConvexBall:
 
         Discrete stepping can overshoot the layer; this restores the
         invariant the projection maintains in continuous time. Returns the
-        (possibly rescaled) point and whether a rescale happened.
+        (possibly rescaled) point and whether a rescale happened; a finite
+        point whose squared norm overflows is first divided by its largest entry.
         """
         theta = np.asarray(theta, dtype=float)
         sq = float(theta @ theta)
         if self.is_within_shell(sq):
             return theta, False
+        if sq == np.inf and np.isfinite(theta).all():
+            theta = theta / np.max(np.abs(theta))
+            sq = float(theta @ theta)
         return theta * np.sqrt((self.radius * self.radius + self.layer) / sq), True

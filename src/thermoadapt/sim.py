@@ -219,14 +219,14 @@ def run(
         e = x - xd
         phi, jte = evaluator.evaluate(theta, x[None], e[None])
         phi, jte = phi[0], jte[0]
-        mu = law.mu(x, theta, e)
+        e_sq = float(e.dot(e))
+        mu = law.mu(e, x_sq, theta_sq)
         temp = law.temperature(e, mu)
         intensity = diffusion_coefficient(gains, temp)
         f_val = plant_drift(x)
         func_gap = f_val - phi
         func_err = math.sqrt(func_gap.dot(func_gap))
 
-        e_sq = float(e.dot(e))
         e_norm = math.sqrt(e_sq)
         x_norm = math.sqrt(x_sq)
         theta_norm = math.sqrt(theta_sq)
@@ -264,7 +264,7 @@ def run(
         # weights, and inside the ball they pass every increment through.
         x_new = x + (f_val + control_input(gains, xd_rate, e, phi, mu)) * dt
         inside = ball.is_inside(theta_sq)
-        rho = drift(law, gains, jte, x, theta, e)
+        rho = drift(law, gains, jte, theta, e_sq)
         np.multiply(rho if inside else ball.project(theta, rho), lr * dt, out=increment)
         np.add(theta, increment, out=theta_next)
         if explore:

@@ -16,6 +16,8 @@ tracking error:
     error:  mu = scale * e
     state:  mu = (quad_weight * |x|^2     + scale) * e
     weight: mu = (quad_weight * |theta|^2 + scale) * e
+
+The laws take the squared norms |x|^2, |theta|^2 and |e|^2, not the vectors.
 """
 
 from __future__ import annotations
@@ -90,15 +92,10 @@ class TemperatureLaw:
         """Whether ``mu`` varies with the weights; only the weight law's does."""
         return self.kind == "weight"
 
-    def mu(self, x: np.ndarray, theta_hat: np.ndarray, e: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        e = np.asarray(e, dtype=float)
-        if self.kind == "error":
-            return self.scale * e
-        if self.kind == "state":
-            return (self.quad_weight * float(x @ x) + self.scale) * e
-        theta_hat = np.asarray(theta_hat, dtype=float)
-        return (self.quad_weight * float(theta_hat @ theta_hat) + self.scale) * e
+    def mu(self, e: np.ndarray, x_sq: float, theta_sq: float) -> np.ndarray:
+        """``(quad_weight * s + scale) * e``; the kind picks s = 0, x_sq or theta_sq."""
+        s = 0.0 if self.kind == "error" else x_sq if self.kind == "state" else theta_sq
+        return (self.quad_weight * s + self.scale) * e
 
     @staticmethod
     def temperature(e: np.ndarray, mu: np.ndarray) -> float:
@@ -109,27 +106,20 @@ class TemperatureLaw:
         """
         return max(float(e @ mu), 0.0)
 
-    def mu_jacobian_applied(
-        self, x: np.ndarray, theta_hat: np.ndarray, e: np.ndarray
-    ) -> np.ndarray:
-        """Weight gradient of ``e . mu`` at fixed ``e``, ``(d mu / d theta).T @ e``.
-
-        Computed without forming the (n, p) Jacobian of ``mu``.
-        """
-        e = np.asarray(e, dtype=float)
-        theta_hat = np.asarray(theta_hat, dtype=float)
+    def mu_jacobian_applied(self, e_sq: float, theta_hat: np.ndarray) -> np.ndarray:
+        """Weight gradient of ``e . mu`` at fixed ``e``, ``(d mu / d theta).T @ e``,
+        from ``e_sq = |e|^2``, without forming the (n, p) Jacobian of ``mu``."""
         if not self.depends_on_weights:
             return np.zeros(theta_hat.size)
-        return (2.0 * self.quad_weight * float(e @ e)) * theta_hat
+        return (2.0 * self.quad_weight * e_sq) * theta_hat
 
 
 def drift(
     law: TemperatureLaw,
     gains: Gains,
     jte: np.ndarray,
-    x: np.ndarray,
     theta_hat: np.ndarray,
-    e: np.ndarray,
+    e_sq: float,
 ) -> np.ndarray:
     """Deterministic part of the weight update, before projection.
 
@@ -143,7 +133,7 @@ def drift(
     pull = gains.forgetting_factor * theta_hat
     if not law.depends_on_weights:
         return jte - pull
-    rho = jte + gains.thermal_coeff * law.mu_jacobian_applied(x, theta_hat, e)
+    rho = jte + gains.thermal_coeff * law.mu_jacobian_applied(e_sq, theta_hat)
     rho -= pull
     return rho
 

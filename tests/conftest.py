@@ -1,10 +1,19 @@
 """Shared pytest hooks."""
 
+import pytest
 
+
+@pytest.hookimpl(tryfirst=True)
 def pytest_collection_modifyitems(items):
-    """Run the tests that need the acceptance battery after every other test.
+    """Mark the tests that need the acceptance battery ``battery`` and run
+    them after every other test.
 
     The battery takes most of the suite's time, so every other test reports
-    before it starts. The sort is stable: each part keeps its own order.
+    before it starts, and ``-m "not battery"`` runs everything else. The sort
+    is stable: each part keeps its own order. The hook runs before ``-m``
+    deselects, so the marker can select.
     """
-    items.sort(key=lambda item: "battery" in getattr(item, "fixturenames", ()))
+    for item in items:
+        if "battery" in getattr(item, "fixturenames", ()):
+            item.add_marker(pytest.mark.battery)
+    items.sort(key=lambda item: item.get_closest_marker("battery") is not None)

@@ -65,6 +65,15 @@ def test_empty_config_gives_defaults(tmp_path):
     assert cfg.network_shape().param_count == 995
 
 
+def test_readme_config_block_is_the_defaults(tmp_path):
+    # README.md shows the benchmark defaults as a config file
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    blocks = readme.split("```ini\n")
+    assert len(blocks) == 2
+    cfg = load_config(write_config(tmp_path, blocks[1].split("```", 1)[0]))
+    assert cfg == ExperimentConfig()
+
+
 def test_unknown_key_rejected(tmp_path):
     path = write_config(tmp_path, "[gains]\ndiffusion_gian = 0.03\n")
     with pytest.raises(ConfigError, match="diffusion_gian"):

@@ -76,7 +76,7 @@ def controller(net, law, gains, x, theta, t):
     xd, rate = desired(t)
     e = x - xd
     phi = Network(net.shape, theta).forward(x)
-    return control_input(gains, rate, e, phi, law.mu(x, theta, e))
+    return control_input(gains, rate, e, phi, law.mu(e, float(x @ x), float(theta @ theta)))
 
 
 def test_controller_perfect_tracking_feedforward():
@@ -125,7 +125,7 @@ def test_closed_loop_error_identity():
             plant_drift(x)
             - gains.control_gain * e
             - net.forward(x)
-            - gains.thermal_coeff * law.mu(x, theta, e)
+            - gains.thermal_coeff * law.mu(e, float(x @ x), float(theta @ theta))
         )
         assert np.allclose(lhs, rhs, atol=1e-12)
 

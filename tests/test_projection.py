@@ -113,6 +113,16 @@ def test_clip_rescales_onto_outer_shell():
     BALL.project(out, np.array([1.0, 1.0, 1.0]))
 
 
+def test_clip_places_overflowing_finite_point_on_outer_shell():
+    # |theta|^2 overflows to inf although every entry is finite
+    theta = np.array([1e200, 3e200, 0.5])
+    with np.errstate(over="ignore"):
+        out, clipped = BALL.clip(theta)
+    assert clipped
+    assert float(out @ out) == pytest.approx(BALL.radius**2 + BALL.layer, rel=1e-12)
+    assert np.allclose(out[:2] / np.linalg.norm(out), [1.0, 3.0] / np.sqrt(10.0))
+
+
 @pytest.mark.parametrize("norm, inside, within", [
     (19.99, True, True),
     (20.0, False, True),  # the ball's surface is in the layer

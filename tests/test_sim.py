@@ -16,12 +16,14 @@ from thermoadapt import (
     RandomSource,
     control_input,
     desired,
+    diffusion_coefficient,
     drift,
     lyapunov_value,
     metrics,
     plant_drift,
     run,
     sim,
+    wiener_increment,
     write_csv,
 )
 from oracles import column
@@ -97,7 +99,7 @@ def test_logged_rows_self_consistent(row_logs):
             assert np.array_equal(e, x - desired(t)[0])
             assert column(log, "e_norm")[r] == pytest.approx(np.linalg.norm(e), rel=1e-15, abs=0)
             # the weight law sees theta only through |theta|^2
-            mu = law.mu(x, np.array([column(log, "theta_norm")[r]]), e)
+            mu = law.mu(e, float(x @ x), column(log, "theta_norm")[r] ** 2)
             temp = column(log, "temperature")[r]
             assert temp == pytest.approx(max(float(e @ mu), 0.0), rel=1e-13, abs=0)
             assert diffusions[r] == pytest.approx(
@@ -133,14 +135,30 @@ def test_step_reduces_to_projected_gradient_when_diffusion_off():
     x, theta = cfg.x0(), net.theta
     xd, xd_rate = desired(0.0)
     e = x - xd
-    mu = law.mu(x, theta, e)
+    x_sq, theta_sq, e_sq = float(x @ x), float(theta @ theta), float(e @ e)
+    mu = law.mu(e, x_sq, theta_sq)
     jte = NetworkEvaluator(net.shape).evaluate(theta, x[None], e[None])[1][0]
-    rho = drift(law, gains, jte, x, theta, e)
+    rho = drift(law, gains, jte, theta, e_sq)
     expected = theta + gains.learning_rate * cfg.dt * ball.project(theta, rho)
     assert np.array_equal(log.final_theta, expected)
     u = control_input(gains, xd_rate, e, net.forward(x), mu)
     x_next = x + (plant_drift(x) + u) * cfg.dt
     assert np.allclose(column(log, "x")[1], x_next, rtol=1e-14, atol=0.0)
+
+    # one S4 step adds lr proj(theta0, intensity dW), dW the path stream's
+    # first draw; built in sim.run's order of operations, it is run's bit for bit
+    seed = 2
+    log = run(cfg, "S4", seed)
+    gains, law = cfg.gains_for("S4"), cfg.law_for("S4")
+    assert law.depends_on_weights
+    intensity = diffusion_coefficient(gains, law.temperature(e, law.mu(e, x_sq, theta_sq)))
+    assert intensity > 0.0
+    lr = gains.learning_rate
+    rho = drift(law, gains, jte, theta, e_sq)
+    expected = theta + ball.project(theta, rho) * (lr * cfg.dt)
+    dw = wiener_increment(RandomSource(seed), theta.size, cfg.dt) * intensity
+    expected = expected + ball.project(theta, dw) * lr
+    assert log.final_theta.tobytes() == expected.tobytes()
 
 
 def test_step_rejects_nonpositive_dt():
@@ -217,6 +235,30 @@ def test_weight_divergence_raises_next_step(monkeypatch, bad):
     assert f"step {k + 1} " in message
     assert "non-finite weights" in message and "theta[" in message and "x[" not in message
     assert f"|theta| = {np.linalg.norm(log.final_theta):.6g}" in message
+
+
+def test_overflowing_weights_clipped_onto_shell(monkeypatch):
+    # a huge but finite Wiener entry at step k makes |theta|^2 overflow; the
+    # clip puts the weights on the outer shell and the run goes on
+    k = 7
+    calls = []
+
+    def huge(rng, p, dt):
+        dw = wiener_increment(rng, p, dt)
+        if len(calls) == k:
+            dw[3] = 1e200
+        calls.append(dt)
+        return dw
+
+    monkeypatch.setattr(sim, "wiener_increment", huge)
+    cfg = replace(FAST, horizon=0.02, log_stride=1)
+    with np.errstate(over="ignore"):
+        log = run(cfg, "S2", 0)
+    assert log.n_states == round(cfg.horizon / cfg.dt) + 1
+    clips = column(log, "clip_flag")
+    assert clips[k + 1] == 1 and clips[: k + 1].sum() == 0
+    shell_sq = cfg.ball_radius**2 + cfg.ball_layer
+    assert column(log, "theta_norm")[k + 1] ** 2 == pytest.approx(shell_sq, rel=1e-12)
 
 
 def test_wiener_path_unchanged(monkeypatch):

@@ -36,13 +36,13 @@ def small_setup(seed=0, p_hidden=(6, 5)):
 
 def test_mu_error_law():
     e = np.array([1.0, 0.0, 0.0, 0.0, 0.0])
-    out = ERROR_LAW.mu(np.zeros(5), np.zeros(3), e)
+    out = ERROR_LAW.mu(e, 0.0, 0.0)
     assert np.array_equal(out, np.array([9.0, 0.0, 0.0, 0.0, 0.0]))
 
 
 def test_mu_state_law_reduces_at_origin():
     e = np.array([0.5, -1.0, 2.0, 0.0, 0.1])
-    out = STATE_LAW.mu(np.zeros(5), np.zeros(3), e)
+    out = STATE_LAW.mu(e, 0.0, 0.0)
     assert np.allclose(out, 9.0 * e)
 
 
@@ -51,7 +51,7 @@ def test_mu_weight_law_example():
     theta[0] = 10.0  # norm 10 -> factor 0.01*100 + 9 = 10
     e = np.zeros(5)
     e[0] = 1.0
-    out = WEIGHT_LAW.mu(np.zeros(5), theta, e)
+    out = WEIGHT_LAW.mu(e, 0.0, float(theta @ theta))
     expected = np.zeros(5)
     expected[0] = 10.0
     assert np.allclose(out, expected)
@@ -61,7 +61,7 @@ def test_mu_weight_law_example():
 
 
 def temperature(law, x, theta, e):
-    return law.temperature(e, law.mu(x, theta, e))
+    return law.temperature(e, law.mu(e, float(x @ x), float(theta @ theta)))
 
 
 def test_temperature_vanishes_with_error():
@@ -99,8 +99,8 @@ def test_mu_jacobian_zero_for_weight_free_laws():
     x = np.ones(5)
     theta = np.ones(7)
     e = np.ones(5)
-    assert np.array_equal(ERROR_LAW.mu_jacobian_applied(x, theta, e), np.zeros(7))
-    assert np.array_equal(STATE_LAW.mu_jacobian_applied(x, theta, e), np.zeros(7))
+    assert np.array_equal(ERROR_LAW.mu_jacobian_applied(float(e @ e), theta), np.zeros(7))
+    assert np.array_equal(STATE_LAW.mu_jacobian_applied(float(e @ e), theta), np.zeros(7))
 
 
 def test_mu_jacobian_weight_law_single_entry():
@@ -108,7 +108,7 @@ def test_mu_jacobian_weight_law_single_entry():
     theta[0] = 5.0
     e = np.zeros(5)
     e[0] = 1.0
-    applied = WEIGHT_LAW.mu_jacobian_applied(np.zeros(5), theta, e)
+    applied = WEIGHT_LAW.mu_jacobian_applied(float(e @ e), theta)
     assert np.allclose(applied, [0.1, 0.0, 0.0, 0.0])  # 2 * 0.01 * |e|^2 * 5
 
 
@@ -119,8 +119,10 @@ def test_mu_jacobian_matches_finite_differences():
         x = rng.standard_normal(5)
         theta = rng.standard_normal(9)
         e = rng.standard_normal(5)
-        numeric = finite_diff_jacobian(lambda th: e @ law.mu(x, th, e), theta, h=1e-6)[0]
-        assert np.allclose(law.mu_jacobian_applied(x, theta, e), numeric, atol=1e-6)
+        numeric = finite_diff_jacobian(
+            lambda th: e @ law.mu(e, float(x @ x), float(th @ th)), theta, h=1e-6
+        )[0]
+        assert np.allclose(law.mu_jacobian_applied(float(e @ e), theta), numeric, atol=1e-6)
 
 
 @pytest.mark.slow
@@ -133,7 +135,7 @@ def test_weight_law_jacobian_norm_bound():
         theta = rng.standard_normal(12)
         theta *= rng.uniform(0.0, radius, ()) / max(np.linalg.norm(theta), 1e-12)
         e = rng.standard_normal(5) * 2.0
-        applied = WEIGHT_LAW.mu_jacobian_applied(np.zeros(5), theta, e)
+        applied = WEIGHT_LAW.mu_jacobian_applied(float(e @ e), theta)
         assert np.linalg.norm(applied) <= 2.0 * q * radius * float(e @ e) + 1e-12
 
 
@@ -161,7 +163,7 @@ def test_internal_energy_weight_term():
 def weight_drift(net, law, gains, x, theta, e):
     """Drift with the network's ``J.T e`` at ``x`` for weights ``theta``."""
     jte = NetworkEvaluator(net.shape).evaluate(theta, x[None], e[None])[1][0]
-    return drift(law, gains, jte, x, theta, e)
+    return drift(law, gains, jte, theta, float(e @ e))
 
 
 def test_drift_vanishes_at_rest():
@@ -198,7 +200,7 @@ def test_drift_is_negative_energy_gradient():
 
         def closed_loop_energy(th):
             phi = Network(net.shape, th).forward(x)
-            mu = law.mu(x, th, e)
+            mu = law.mu(e, float(x @ x), float(th @ th))
             e_dot = f_val - gains.control_gain * e - phi - gains.thermal_coeff * mu
             return np.array([internal_energy(e, e_dot, th, gains.forgetting_factor)])
 
