@@ -224,9 +224,10 @@ def _execute_run(payload) -> list[RunResult]:
 def resolve_theta_ref(config: ExperimentConfig) -> Optional[np.ndarray]:
     """Reference weights for the logged Lyapunov proxy.
 
-    ``deterministic`` runs the exploration-free baseline once (first seed)
-    and uses its final weights, or its last finite weights if it diverges;
-    ``initial`` uses the shared initialization; ``zero`` uses the origin.
+    ``deterministic`` runs the exploration-free baseline once (first seed,
+    logging only its first row) and uses its final weights, or its last
+    finite weights if it diverges; ``initial`` uses the shared
+    initialization; ``zero`` uses the origin.
     """
     mode = config.lyapunov_reference
     if mode == "zero":
@@ -234,7 +235,7 @@ def resolve_theta_ref(config: ExperimentConfig) -> Optional[np.ndarray]:
     if mode == "initial":
         return config.initial_theta()
     try:
-        ref_log = run_scenario(config, "S1", config.seeds[0], theta_ref=None)
+        ref_log = run_scenario(replace(config, log_stride=sys.maxsize), "S1", config.seeds[0])
     except DivergenceError as exc:
         ref_log = exc.partial_log
     return ref_log.final_theta

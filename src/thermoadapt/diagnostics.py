@@ -29,13 +29,11 @@ class InfeasibleConstantsError(ValueError):
     """No admissible escape level exists for these constants."""
 
 
-def lyapunov_value(e, theta_err, learning_rate: float) -> float:
-    """Energy ``|e|^2 / 2 + |theta_err|^2 / (2 lr)`` of a combined error."""
-    e = np.asarray(e, dtype=float)
-    theta_err = np.asarray(theta_err, dtype=float)
+def lyapunov_value(e_sq: float, theta_err_sq: float, learning_rate: float) -> float:
+    """Energy ``|e|^2 / 2 + |theta_err|^2 / (2 lr)`` from the two squared norms."""
     if learning_rate <= 0.0:
         raise ValueError(f"learning_rate must be positive, got {learning_rate}")
-    return 0.5 * float(e @ e) + 0.5 / learning_rate * float(theta_err @ theta_err)
+    return 0.5 * e_sq + 0.5 / learning_rate * theta_err_sq
 
 
 @dataclass(frozen=True)

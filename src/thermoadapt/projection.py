@@ -39,20 +39,19 @@ class ConvexBall:
         if self.layer <= 0.0:
             raise ValueError(f"layer must be positive, got {self.layer}")
 
-    def boundary_fn(self, theta: np.ndarray) -> float:
-        """Smooth convex boundary function, negative inside the ball."""
-        theta = np.asarray(theta, dtype=float)
-        return float(theta @ theta - self.radius * self.radius)
+    def boundary_fn(self, theta_sq: float) -> float:
+        """Boundary value ``P = theta_sq - radius^2``, negative inside the ball."""
+        return theta_sq - self.radius * self.radius
 
     def is_inside(self, theta_sq: float) -> bool:
         """Whether a point of squared norm ``theta_sq`` lies strictly inside
         the ball, where :meth:`project` passes every increment through."""
-        return theta_sq - self.radius * self.radius < 0.0
+        return self.boundary_fn(theta_sq) < 0.0
 
     def is_within_shell(self, theta_sq: float) -> bool:
         """Whether a point of squared norm ``theta_sq`` lies within the outer
         shell, where :meth:`clip` leaves it; false for a non-finite one."""
-        return theta_sq - self.radius * self.radius <= self.layer
+        return self.boundary_fn(theta_sq) <= self.layer
 
     def project(self, theta: np.ndarray, m: np.ndarray) -> np.ndarray:
         """Project an increment ``m`` taken at the point ``theta``.
@@ -66,16 +65,13 @@ class ConvexBall:
         layered region (unreachable along projected trajectories); a small
         relative tolerance absorbs round-off from shell clipping.
         """
-        theta = np.asarray(theta, dtype=float)
-        m = np.asarray(m, dtype=float)
-        sq = float(theta @ theta)
-        value = sq - self.radius * self.radius
+        value = self.boundary_fn(float(theta @ theta))
         if value > self.layer * (1.0 + 1e-9) + 1e-12 * self.radius * self.radius:
             raise ProjectionDomainError(
                 f"point with boundary value {value:.6g} is outside the layer "
                 f"(limit {self.layer:.6g})"
             )
-        if self.is_inside(sq):
+        if value < 0.0:
             return m
         grad = 2.0 * theta
         outward = grad @ m
@@ -84,19 +80,18 @@ class ConvexBall:
         fade = min(1.0, value / self.layer)
         return m - (fade * outward / (grad @ grad)) * grad
 
-    def clip(self, theta: np.ndarray) -> tuple[np.ndarray, bool]:
+    def clip(self, theta: np.ndarray, theta_sq: float) -> tuple[np.ndarray, bool]:
         """Radially rescale onto the outer shell if the point escaped it.
 
         Discrete stepping can overshoot the layer; this restores the
-        invariant the projection maintains in continuous time. Returns the
-        (possibly rescaled) point and whether a rescale happened; a finite
-        point whose squared norm overflows is first divided by its largest entry.
+        invariant the projection maintains in continuous time. ``theta_sq`` is
+        the caller's ``|theta|^2``. Returns the (possibly rescaled) point and
+        whether a rescale happened; a finite point whose squared norm
+        overflows is first divided by its largest entry.
         """
-        theta = np.asarray(theta, dtype=float)
-        sq = float(theta @ theta)
-        if self.is_within_shell(sq):
+        if self.is_within_shell(theta_sq):
             return theta, False
-        if sq == np.inf and np.isfinite(theta).all():
+        if theta_sq == np.inf and np.isfinite(theta).all():
             theta = theta / np.max(np.abs(theta))
-            sq = float(theta @ theta)
-        return theta * np.sqrt((self.radius * self.radius + self.layer) / sq), True
+            theta_sq = float(theta @ theta)
+        return theta * np.sqrt((self.radius * self.radius + self.layer) / theta_sq), True

@@ -143,10 +143,10 @@ def run(
     runs differing only in ``seed`` share their initialization (and runs
     with exploration switched off do not consume the path stream at all).
 
-    ``theta_ref`` is the reference for the logged Lyapunov proxy (zero
-    vector when omitted). Raises :class:`DivergenceError` with the partial
-    log attached if the state or the weights blow up; its message names the
-    first non-finite entry and the last finite |x| and |theta|.
+    ``theta_ref`` is the reference for the logged Lyapunov proxy, shaped like
+    the weights (zero vector when omitted). Raises :class:`DivergenceError`
+    with the partial log attached if the state or the weights blow up; its
+    message names the first non-finite entry and the last finite |x| and |theta|.
     """
     if scenario not in SCENARIO_LAWS:
         raise ValueError(f"unknown scenario {scenario!r}")
@@ -157,6 +157,8 @@ def run(
     x = config.x0()
     if theta_ref is None:
         theta_ref = np.zeros(theta.size)
+    elif np.shape(theta_ref) != theta.shape:
+        raise ValueError(f"theta_ref has shape {np.shape(theta_ref)}, the weights {theta.shape}")
     rng = RandomSource(seed)
     evaluator = NetworkEvaluator(config.network_shape())
 
@@ -166,15 +168,15 @@ def run(
     n_rows = n_steps // stride + 1
     lr = gains.learning_rate
     explore = gains.diffusion_gain > 0.0
-    radius_sq = ball.radius * ball.radius
 
     rows = np.empty((n_rows, len(CSV_COLUMNS)))
     # Summed in step order, so times[i] is the running t += dt bit for bit.
     times = np.zeros(n_steps + 1)
     np.cumsum(np.full(n_steps, dt), out=times[1:])
-    # The scaled projected increment, and the weights the step writes.
+    # The scaled projected increment, the weights the step writes, a row's theta_ref - theta.
     increment = np.empty(theta.size)
     theta_next = np.empty(theta.size)
+    theta_err = np.empty(theta.size)
     # |x|^2 and |theta|^2 of the current state, once per step.
     x_sq = float(x.dot(x))
     theta_sq = float(theta.dot(theta))
@@ -187,7 +189,8 @@ def run(
     temp_counts = [0, 0]
     clip_count = 0
     clips_since_row = 0
-    max_boundary_value = -np.inf
+    # P(theta) is monotone in |theta|^2, rounding included: P(max) = max P.
+    max_theta_sq = -np.inf
     row = 0
     i = 0
 
@@ -204,7 +207,7 @@ def run(
             temp_mean_early=early,
             temp_mean_late=late,
             clip_count=clip_count,
-            max_boundary_value=float(max_boundary_value),
+            max_boundary_value=float(ball.boundary_fn(max_theta_sq)),
             final_theta=theta.copy(),
         )
 
@@ -240,7 +243,7 @@ def run(
         if LATE_WINDOW[0] <= t <= LATE_WINDOW[1]:
             temp_sums[1] += temp
             temp_counts[1] += 1
-        max_boundary_value = max(max_boundary_value, theta_sq - radius_sq)
+        max_theta_sq = max(max_theta_sq, theta_sq)
 
         if i % stride == 0:
             out = rows[row]
@@ -251,7 +254,8 @@ def run(
             out[12] = theta_norm
             out[13] = temp
             out[14] = intensity
-            out[15] = lyapunov_value(e, theta_ref - theta, lr)
+            np.subtract(theta_ref, theta, out=theta_err)
+            out[15] = lyapunov_value(e_sq, float(theta_err.dot(theta_err)), lr)
             out[16] = func_err
             out[17] = clips_since_row
             clips_since_row = 0
@@ -278,7 +282,7 @@ def run(
         theta_new = theta_next
         theta_sq = float(theta_next.dot(theta_next))
         if not ball.is_within_shell(theta_sq):
-            theta_new, _ = ball.clip(theta_next)
+            theta_new, _ = ball.clip(theta_next, theta_sq)
             clip_count += 1
             clips_since_row += 1
             theta_sq = float(theta_new.dot(theta_new))

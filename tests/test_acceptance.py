@@ -258,7 +258,7 @@ def test_criterion_7_lyapunov_algebra():
         e = rng.standard_normal(5)
         te = rng.standard_normal(7)
         z_sq = float(e @ e + te @ te)
-        v = lyapunov_value(e, te, lr)
+        v = lyapunov_value(float(e @ e), float(te @ te), lr)
         a1 = 0.5 * min(1.0, 1.0 / lr)
         a2 = 0.5 * max(1.0, 1.0 / lr)
         if not (a1 * z_sq <= v * (1 + 1e-12) and v <= a2 * z_sq * (1 + 1e-12)):

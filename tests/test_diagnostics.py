@@ -29,18 +29,18 @@ def make_constants(**overrides):
 
 
 def test_lyapunov_zero():
-    assert lyapunov_value(np.zeros(3), np.zeros(4), 1.0) == 0.0
+    assert lyapunov_value(0.0, 0.0, 1.0) == 0.0
 
 
 def test_lyapunov_unit_example():
     e = np.array([1.0, 0.0])
     te = np.array([0.0, 1.0, 0.0])
-    assert lyapunov_value(e, te, 1.0) == pytest.approx(1.0)
+    assert lyapunov_value(float(e @ e), float(te @ te), 1.0) == pytest.approx(1.0)
 
 
 def test_lyapunov_rejects_bad_rate():
     with pytest.raises(ValueError):
-        lyapunov_value(np.zeros(2), np.zeros(2), 0.0)
+        lyapunov_value(0.0, 0.0, 0.0)
 
 
 def test_rayleigh_sandwich_random():
@@ -50,7 +50,7 @@ def test_rayleigh_sandwich_random():
         e = rng.standard_normal(3)
         te = rng.standard_normal(5)
         z_sq = float(e @ e + te @ te)
-        v = lyapunov_value(e, te, lr)
+        v = lyapunov_value(float(e @ e), float(te @ te), lr)
         a1 = 0.5 * min(1.0, 1.0 / lr)
         a2 = 0.5 * max(1.0, 1.0 / lr)
         assert a1 * z_sq <= v * (1 + 1e-12)

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from thermoadapt import ConvexBall, ProjectionDomainError, RandomSource
 
@@ -39,7 +41,7 @@ def test_outer_shell_tangent_increment_unchanged():
 def test_boundary_of_ball_counts_as_interior():
     # on the ball's surface the fade is zero, so even an outward increment passes
     theta = BALL.radius * np.array([0.0, 1.0])
-    assert BALL.boundary_fn(theta) == 0.0
+    assert BALL.boundary_fn(float(theta @ theta)) == 0.0
     m = np.array([0.5, 2.0])
     assert np.array_equal(BALL.project(theta, m), m)
 
@@ -89,6 +91,27 @@ def test_outer_shell_never_points_outward():
         assert 2.0 * theta @ out <= 1e-10
 
 
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(
+    radius=st.floats(0.1, 100.0),
+    layer_fraction=st.floats(1e-5, 1.0),
+    dim=st.integers(1, 8),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_projected_increment_never_points_outward_on_shell(radius, layer_fraction, dim, seed):
+    # any ball, dimension and increment scale: at the outer shell the fade is
+    # complete, up to the round-off of placing theta on the shell, which the
+    # fade fraction P / layer amplifies by at most radius^2 / layer <= 1e5
+    layer = layer_fraction * radius**2
+    ball = ConvexBall(radius, layer)
+    rng = RandomSource(seed)
+    direction = rng.standard_normal(dim)
+    theta = np.sqrt(radius**2 + layer) * direction / np.linalg.norm(direction)
+    m = rng.standard_normal(dim) * rng.uniform(1e-3, 1e3, ())
+    out = ball.project(theta, m)
+    assert theta @ out <= 1e-9 * np.linalg.norm(theta) * np.linalg.norm(m)
+
+
 def test_outside_point_rejected():
     theta = np.array([BALL.radius + 1.0, 0.0])
     with pytest.raises(ProjectionDomainError):
@@ -97,16 +120,16 @@ def test_outside_point_rejected():
 
 def test_clip_inside_noop():
     theta = np.array([1.0, 2.0])
-    out, clipped = BALL.clip(theta)
+    out, clipped = BALL.clip(theta, float(theta @ theta))
     assert not clipped
     assert out is theta
 
 
 def test_clip_rescales_onto_outer_shell():
     theta = np.array([30.0, 0.0, 0.0])
-    out, clipped = BALL.clip(theta)
+    out, clipped = BALL.clip(theta, float(theta @ theta))
     assert clipped
-    assert BALL.boundary_fn(out) == pytest.approx(BALL.layer, abs=1e-9)
+    assert BALL.boundary_fn(float(out @ out)) == pytest.approx(BALL.layer, abs=1e-9)
     # direction preserved
     assert np.allclose(out / np.linalg.norm(out), [1.0, 0.0, 0.0])
     # clipped points are accepted by project afterwards
@@ -117,7 +140,7 @@ def test_clip_places_overflowing_finite_point_on_outer_shell():
     # |theta|^2 overflows to inf although every entry is finite
     theta = np.array([1e200, 3e200, 0.5])
     with np.errstate(over="ignore"):
-        out, clipped = BALL.clip(theta)
+        out, clipped = BALL.clip(theta, float(theta @ theta))
     assert clipped
     assert float(out @ out) == pytest.approx(BALL.radius**2 + BALL.layer, rel=1e-12)
     assert np.allclose(out[:2] / np.linalg.norm(out), [1.0, 3.0] / np.sqrt(10.0))
@@ -135,7 +158,7 @@ def test_squared_norm_tests_match_project_and_clip(norm, inside, within):
     sq = float(theta @ theta)
     assert BALL.is_inside(sq) is inside
     assert BALL.is_within_shell(sq) is within
-    assert BALL.clip(theta)[1] is not within
+    assert BALL.clip(theta, sq)[1] is not within
     if within:
         m = np.array([1.0, 0.0])  # outward
         assert (BALL.project(theta, m) is m) is inside

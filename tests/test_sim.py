@@ -1,6 +1,8 @@
 """Integrator behavior: determinism, reductions, logging, and metrics."""
 
 import hashlib
+import itertools
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -116,8 +118,9 @@ def test_last_row_follows_from_final_theta(row_logs):
         weight_norms = column(log, "theta_norm")
         assert weight_norms[-1] == np.linalg.norm(theta)
         assert weight_norms[0] == np.linalg.norm(ROWS.initial_theta())
+        theta_err = ROWS_THETA_REF - theta
         assert column(log, "lyapunov_proxy")[-1] == lyapunov_value(
-            e, ROWS_THETA_REF - theta, ROWS.learning_rate
+            float(e @ e), float(theta_err @ theta_err), ROWS.learning_rate
         )
         model = Network(net_shape, theta).forward(x)
         assert column(log, "func_err_norm")[-1] == pytest.approx(
@@ -298,6 +301,17 @@ def test_desired_on_time_grid_equals_pointwise_calls():
         assert rate[:, i].tobytes() == point_rate.tobytes()
 
 
+def test_theta_ref_of_another_shape_rejected_before_stepping(monkeypatch):
+    # a (3,) reference used to fail in numpy broadcasting at step 0, and a
+    # (p, 1) one with a TypeError from the Lyapunov proxy
+    p = FAST.network_shape().param_count
+    monkeypatch.setattr(sim, "desired", lambda t: pytest.fail("run stepped"))
+    for bad in (np.zeros(3), np.zeros((p, 1))):
+        expected = f"theta_ref has shape {bad.shape}, the weights ({p},)"
+        with pytest.raises(ValueError, match=re.escape(expected)):
+            run(FAST, "S2", 0, theta_ref=bad)
+
+
 def test_weights_never_leave_layered_region(fast_s2_log):
     ball = FAST.ball()
     assert fast_s2_log.max_boundary_value <= ball.layer + 1e-9
@@ -320,6 +334,52 @@ def test_temperature_bounded_by_error_envelope():
         else:
             bound_factor = cfg.temp_scale
         assert np.all(column(log, "temperature") <= e_sq * bound_factor + 1e-12)
+
+
+# One Wiener path on a 0.125 ms grid drives every step size of a strong-order
+# fit: a run at step dt sums the path's increments over blocks of dt / 0.125 ms.
+PATH_DT = 1.25e-4
+ORDER_DTS = (4e-3, 2e-3, 1e-3, 5e-4)
+
+
+def _final_weights_on_path(monkeypatch, cfg, scenario, path, dt):
+    block = round(dt / PATH_DT)
+    steps = itertools.count()
+
+    def path_increment(rng, p, step_dt):
+        k = next(steps)
+        return path[k * block:(k + 1) * block].sum(axis=0)
+
+    monkeypatch.setattr(sim, "wiener_increment", path_increment)
+    return run(replace(cfg, dt=dt), scenario, 0).final_theta
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("scenario, min_order", [
+    ("S1", 0.9), ("S2", 0.9), ("S3", 0.9), ("S4", 0.5),
+])
+def test_strong_convergence_order(monkeypatch, scenario, min_order):
+    # RMS |theta_dt(T) - theta_ref(T)| over seeds, theta_ref on the path's own
+    # grid. The noise enters theta only; in S2 and S3 its intensity depends on
+    # x alone, which carries no noise, so the Milstein correction vanishes and
+    # Euler-Maruyama has strong order 1 (Kloeden & Platen 1992). In S4 T
+    # depends on |theta|^2, so the order is 0.5 in the limit, but the
+    # correction scales with q = 0.01. The fit reads about 1.2 for all four.
+    cfg = replace(FAST, horizon=0.5)
+    p = cfg.network_shape().param_count
+    n_fine = round(cfg.horizon / PATH_DT)
+    seeds = (0,) if scenario == "S1" else (0, 1, 2)
+    err_sq = np.zeros(len(ORDER_DTS))
+    for seed in seeds:
+        path = np.sqrt(PATH_DT) * RandomSource(seed).standard_normal(n_fine * p)
+        path = path.reshape(n_fine, p)
+        ref = _final_weights_on_path(monkeypatch, cfg, scenario, path, PATH_DT)
+        for k, dt in enumerate(ORDER_DTS):
+            theta = _final_weights_on_path(monkeypatch, cfg, scenario, path, dt)
+            err_sq[k] += float((theta - ref) @ (theta - ref))
+    rms = np.sqrt(err_sq / len(seeds))
+    order = np.polyfit(np.log(ORDER_DTS), np.log(rms), 1)[0]
+    assert order >= min_order, f"observed strong order {order:.2f}, RMS errors {rms}"
 
 
 def test_step_size_self_consistency():

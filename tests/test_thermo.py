@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from thermoadapt import (
     Gains,
@@ -189,12 +191,19 @@ def test_drift_weight_law_coupling_term():
     assert np.allclose(out, expected, rtol=1e-12)
 
 
-def test_drift_is_negative_energy_gradient():
-    # drift == -dU/dtheta for the closed-loop internal energy, any law
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    hidden=st.lists(st.integers(1, 6), max_size=3),
+)
+@example(seed=11, hidden=[6, 5])
+def test_drift_is_negative_energy_gradient(seed, hidden):
+    # drift == -dU/dtheta for the closed-loop internal energy, every law,
+    # on small networks of random shape
     from thermoadapt import plant_drift
 
     for law in (ERROR_LAW, STATE_LAW, WEIGHT_LAW):
-        net, gains, x, e, _ = small_setup(seed=11)
+        net, gains, x, e, _ = small_setup(seed=seed, p_hidden=tuple(hidden))
         theta = net.theta
         f_val = plant_drift(x)
 
