@@ -92,6 +92,13 @@ class ExperimentConfig:
             raise ValueError(
                 f"initial_state needs {STATE_DIM} entries, got {len(self.initial_state)}"
             )
+        # sim.run takes |x|^2 of the state; it must not overflow at the start.
+        with np.errstate(over="ignore"):
+            x0_sq = float(self.x0().dot(self.x0()))
+        if not math.isfinite(x0_sq):
+            raise ValueError(
+                f"initial_state must have a finite squared norm, got {self.initial_state}"
+            )
         if self.hidden_layers < 0:
             raise ValueError(f"hidden_layers must be >= 0, got {self.hidden_layers}")
         if self.hidden_width < 1:

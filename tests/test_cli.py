@@ -544,6 +544,20 @@ def test_non_finite_or_empty_value_exit_2_writes_nothing(tmp_path, capsys, edit,
     assert not out.exists()
 
 
+def test_overflowing_initial_state_exit_2_writes_nothing(tmp_path, capsys):
+    # every entry is finite, but |x0|^2 overflows, so no |x| of the run would be
+    out = tmp_path / "out"
+    text = FAST_OVERRIDES.format(out=out).replace(
+        "seeds = 2", "seeds = 2\ninitial_state = 1e155,0,0,0,0"
+    )
+    path = write_config(tmp_path, text)
+    for command in (["validate"], ["run", "--workers", "2"]):
+        assert main([*command, "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: initial_state must have a finite squared norm")
+    assert not out.exists()
+
+
 def test_out_of_range_seed_override_exit_2(tmp_path, capsys):
     out = tmp_path / "out"
     for workers in ("1", "2"):

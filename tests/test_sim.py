@@ -240,6 +240,38 @@ def test_weight_divergence_raises_next_step(monkeypatch, bad):
     assert f"|theta| = {np.linalg.norm(log.final_theta):.6g}" in message
 
 
+@pytest.mark.parametrize("scenario", ["S1", "S2"])
+def test_overflowing_state_norm_raises_at_once(monkeypatch, scenario):
+    # a huge but finite control on the k-th call makes |x|^2 overflow while
+    # every entry of x stays finite; the run stops at that step and names
+    # the state, its largest entry and a finite last |x|
+    k = 4
+    calls = []
+
+    def kicked(gains, xd_rate, e, phi, mu):
+        u = control_input(gains, xd_rate, e, phi, mu)
+        calls.append(mu)
+        if len(calls) == k:
+            u[0] = 1.5e157
+        return u
+
+    monkeypatch.setattr(sim, "control_input", kicked)
+    cfg = replace(FAST, horizon=0.05, log_stride=1)
+    with np.errstate(over="ignore"):
+        with pytest.raises(DivergenceError) as excinfo:
+            run(cfg, scenario, 0)
+    err = excinfo.value
+    assert err.step_index == k
+    assert len(calls) == k
+    assert err.partial_log.rows.shape[0] == k
+    message = str(err)
+    assert message.startswith(f"non-finite state at step {k} ")
+    assert "|x|^2 = inf, largest x[0] = 1.5" in message
+    last = float(re.search(r"last finite \|x\| = (\S+),", message).group(1))
+    assert np.isfinite(last)
+    assert last == pytest.approx(np.linalg.norm(column(err.partial_log, "x")[-1]), rel=1e-5)
+
+
 def test_overflowing_weights_clipped_onto_shell(monkeypatch):
     # a huge but finite Wiener entry at step k makes |theta|^2 overflow; the
     # clip puts the weights on the outer shell and the run goes on

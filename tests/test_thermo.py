@@ -16,7 +16,7 @@ from thermoadapt import (
     drift,
     he_init,
 )
-from oracles import finite_diff_jacobian, internal_energy
+from oracles import finite_diff_jacobian, internal_energy, weight_jacobian
 
 ERROR_LAW = TemperatureLaw(kind="error", scale=9.0)
 STATE_LAW = TemperatureLaw(kind="state", scale=9.0, quad_weight=0.01)
@@ -178,7 +178,7 @@ def test_drift_error_law_reduction():
     net, gains, x, e, _ = small_setup(seed=3)
     theta = net.theta
     out = weight_drift(net, ERROR_LAW, gains, x, theta, e)
-    expected = net.weight_jacobian(x).T @ e - gains.forgetting_factor * theta
+    expected = weight_jacobian(net, x).T @ e - gains.forgetting_factor * theta
     assert np.allclose(out, expected, atol=1e-14)
 
 
@@ -187,7 +187,7 @@ def test_drift_weight_law_coupling_term():
     theta = net.theta
     out = weight_drift(net, WEIGHT_LAW, gains, x, theta, e)
     coupling = gains.thermal_coeff * 2.0 * WEIGHT_LAW.quad_weight * float(e @ e) * theta
-    expected = net.weight_jacobian(x).T @ e + coupling - gains.forgetting_factor * theta
+    expected = weight_jacobian(net, x).T @ e + coupling - gains.forgetting_factor * theta
     assert np.allclose(out, expected, rtol=1e-12)
 
 
