@@ -418,10 +418,14 @@ def run_experiment(
     a ``runs.jsonl`` with per-run metrics, and the summary as
     ``summary.json`` and ``summary.txt``, and returns the summary rows and
     the per-run records. Identical configs and seeds give byte-identical
-    artifacts regardless of the worker count.
+    artifacts regardless of the worker count. An output directory that
+    cannot be created raises :class:`ConfigError` before any run starts.
     """
     out_dir = Path(config.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {out_dir}: {exc}") from exc
     theta_ref = resolve_theta_ref(config)
     results = run_batch(
         config,
@@ -506,7 +510,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             overrides["scenarios"] = _parse_scenarios(args.scenarios)
         if args.seeds:
             overrides["seeds"] = parse_seed_spec(args.seeds)
-        if args.out:
+        if args.out is not None:
             overrides["output_dir"] = args.out
         if overrides:
             config = replace(config, **overrides)
@@ -516,7 +520,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 
-    rows, results = run_experiment(config, workers=args.workers, write_logs=not args.no_logs)
+    try:
+        rows, results = run_experiment(config, workers=args.workers, write_logs=not args.no_logs)
+    except ConfigError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return 2
     sys.stdout.write(print_summary(rows, "text"))
     diverged = sum(r.diverged for r in results)
     if diverged:

@@ -109,6 +109,8 @@ class ExperimentConfig:
             raise ValueError(
                 f"temp_quad_weight must be nonnegative, got {self.temp_quad_weight}"
             )
+        if not self.output_dir:
+            raise ValueError("output_dir must not be empty")
         if self.log_stride < 1:
             raise ValueError(f"log_stride must be >= 1, got {self.log_stride}")
         if self.offtraj_count < 1:

@@ -14,8 +14,9 @@ region, the weights are radially clipped back onto its outer shell and the
 event is counted.
 
 A run logs a decimated trajectory as one table whose columns are
-``CSV_COLUMNS``, in that order, and accumulates error metrics at full step
-resolution.
+``CSV_COLUMNS``, in that order. Its statistics (error sums, sup norms,
+temperature window means, largest boundary value) are reduced once, when the
+log is built, from a per-step table that every step writes one row of.
 """
 
 from __future__ import annotations
@@ -86,12 +87,12 @@ def _divergence_message(
     x_sq: float,
     theta_new: np.ndarray,
     theta_sq: float,
-    x_norm: float,
-    theta_norm: float,
+    last_x_sq: float,
+    last_theta_sq: float,
 ) -> str:
     """Name what went non-finite in the stepped state and weights (the first
     non-finite entry, or the largest entry when only the squared norm
-    overflowed) and the norms before the step."""
+    overflowed) and the norms before the step, from their squares."""
     failed = {}
     for name, what, values, sq in (
         ("x", "state", x_new, x_sq), ("theta", "weights", theta_new, theta_sq)
@@ -106,14 +107,14 @@ def _divergence_message(
             failed[what] = f"|{name}|^2 = {sq!r}, largest {name}[{big}] = {float(values[big])!r}"
     return (
         f"non-finite {' and '.join(failed)} at step {step_index} (t = {time:.6g} s): "
-        f"{', '.join(failed.values())}; last finite |x| = {x_norm:.6g}, "
-        f"|theta| = {theta_norm:.6g}"
+        f"{', '.join(failed.values())}; last finite |x| = {math.sqrt(last_x_sq):.6g}, "
+        f"|theta| = {math.sqrt(last_theta_sq):.6g}"
     )
 
 
 @dataclass
 class TrajectoryLog:
-    """Trajectory rows in ``CSV_COLUMNS`` order plus full-resolution accumulators."""
+    """Trajectory rows in ``CSV_COLUMNS`` order plus statistics reduced from every step."""
 
     rows: np.ndarray
     n_states: int
@@ -177,6 +178,8 @@ def run(
     explore = gains.diffusion_gain > 0.0
 
     rows = np.empty((n_rows, len(CSV_COLUMNS)))
+    # Every step's |e|^2, |f - Phi|, |x|^2, T and |theta|^2; _build_log reduces it.
+    steps = np.empty((n_steps + 1, 5))
     # Summed in step order, so times[i] is the running t += dt bit for bit.
     times = np.zeros(n_steps + 1)
     np.cumsum(np.full(n_steps, dt), out=times[1:])
@@ -188,33 +191,33 @@ def run(
     x_sq = float(x.dot(x))
     theta_sq = float(theta.dot(theta))
 
-    sum_error_sq = 0.0
-    sum_func_err_sq = 0.0
-    sup_state_norm = 0.0
-    sup_error_norm = 0.0
-    temp_sums = [0.0, 0.0]
-    temp_counts = [0, 0]
     clip_count = 0
     clips_since_row = 0
-    # P(theta) is monotone in |theta|^2, rounding included: P(max) = max P.
-    max_theta_sq = -np.inf
     row = 0
     i = 0
 
     def _build_log(rows_done: np.ndarray) -> TrajectoryLog:
-        early = temp_sums[0] / temp_counts[0] if temp_counts[0] else float("nan")
-        late = temp_sums[1] / temp_counts[1] if temp_counts[1] else float("nan")
+        # Steps 0..i. np.cumsum adds in step order like a running total; np.sum
+        # (pairwise) and the builtin sum (compensated) round otherwise. sqrt
+        # and boundary_fn are monotone, rounding included: f(max) = max f.
+        e_sqs, func_errs, x_sqs, temps, theta_sqs = steps[:i + 1].T
+        t_done = times[:i + 1]
+
+        def temp_mean(lo: float, hi: float) -> float:
+            window = temps[(lo <= t_done) & (t_done <= hi)]
+            return float(np.cumsum(window)[-1] / window.size) if window.size else float("nan")
+
         return TrajectoryLog(
             rows=rows_done,
             n_states=i + 1,
-            sum_error_sq=sum_error_sq,
-            sum_func_err_sq=sum_func_err_sq,
-            sup_state_norm=sup_state_norm,
-            sup_error_norm=sup_error_norm,
-            temp_mean_early=early,
-            temp_mean_late=late,
+            sum_error_sq=float(np.cumsum(e_sqs)[-1]),
+            sum_func_err_sq=float(np.cumsum(func_errs * func_errs)[-1]),
+            sup_state_norm=math.sqrt(x_sqs.max()),
+            sup_error_norm=math.sqrt(e_sqs.max()),
+            temp_mean_early=temp_mean(*EARLY_WINDOW),
+            temp_mean_late=temp_mean(*LATE_WINDOW),
             clip_count=clip_count,
-            max_boundary_value=float(ball.boundary_fn(max_theta_sq)),
+            max_boundary_value=float(ball.boundary_fn(theta_sqs.max())),
             final_theta=theta.copy(),
         )
 
@@ -236,29 +239,15 @@ def run(
         f_val = plant_drift(x)
         func_gap = f_val - phi
         func_err = math.sqrt(func_gap.dot(func_gap))
-
-        e_norm = math.sqrt(e_sq)
-        x_norm = math.sqrt(x_sq)
-        theta_norm = math.sqrt(theta_sq)
-        sum_error_sq += e_sq
-        sum_func_err_sq += func_err * func_err
-        sup_state_norm = max(sup_state_norm, x_norm)
-        sup_error_norm = max(sup_error_norm, e_norm)
-        if EARLY_WINDOW[0] <= t <= EARLY_WINDOW[1]:
-            temp_sums[0] += temp
-            temp_counts[0] += 1
-        if LATE_WINDOW[0] <= t <= LATE_WINDOW[1]:
-            temp_sums[1] += temp
-            temp_counts[1] += 1
-        max_theta_sq = max(max_theta_sq, theta_sq)
+        steps[i] = e_sq, func_err, x_sq, temp, theta_sq
 
         if i % stride == 0:
             out = rows[row]
             out[0] = t
             out[1:6] = x
             out[6:11] = e
-            out[11] = e_norm
-            out[12] = theta_norm
+            out[11] = math.sqrt(e_sq)
+            out[12] = math.sqrt(theta_sq)
             out[13] = temp
             out[14] = intensity
             np.subtract(theta_ref, theta, out=theta_err)
@@ -298,7 +287,7 @@ def run(
         x_sq = float(x_new.dot(x_new))
         if not (math.isfinite(x_sq) and math.isfinite(theta_sq)):
             message = _divergence_message(
-                i + 1, t + dt, x_new, x_sq, theta_new, theta_sq, x_norm, theta_norm
+                i + 1, t + dt, x_new, x_sq, theta_new, theta_sq, steps[i, 2], steps[i, 4]
             )
             raise DivergenceError(message, i + 1, t + dt, _build_log(rows[:row].copy()))
         # The old weights' array takes the next step's weights.

@@ -534,14 +534,44 @@ def test_out_of_range_seed_exit_2_writes_nothing(tmp_path, capsys, edit, message
     (lambda text: text.replace("seeds = 2", "seeds = 2\ninitial_state = 0,nan,3,-3,3"),
      "initial_state"),
     (lambda text: text.replace("seeds = 2", "seeds = 2\nscenarios ="), "scenarios"),
-], ids=["horizon", "offtrajectory.low", "gains.learning_rate", "initial_state", "scenarios"])
-def test_non_finite_or_empty_value_exit_2_writes_nothing(tmp_path, capsys, edit, field):
+    (lambda text: text.replace("output_dir = ", "output_dir =\n# was "), "output_dir"),
+], ids=["horizon", "offtrajectory.low", "gains.learning_rate", "initial_state", "scenarios",
+        "output_dir"])
+def test_non_finite_or_empty_value_exit_2_writes_nothing(
+    tmp_path, capsys, monkeypatch, edit, field
+):
+    # an empty output_dir would put the artifacts in the working directory
+    monkeypatch.chdir(tmp_path)
     out = tmp_path / "out"
     path = write_config(tmp_path, edit(FAST_OVERRIDES.format(out=out)))
     for command in (["validate"], ["run", "--workers", "2"]):
         assert main([*command, "--config", str(path)]) == 2
         assert capsys.readouterr().err.startswith(f"config error: {field} ")
     assert not out.exists()
+    assert os.listdir(tmp_path) == [path.name]
+
+
+@pytest.mark.parametrize("under", [False, True], ids=["file", "under-file"])
+def test_uncreatable_output_dir_exit_2_writes_nothing(tmp_path, capsys, under):
+    # --out names a regular file, or a path below one
+    path = write_config(tmp_path, FAST_OVERRIDES.format(out=tmp_path / "unused"))
+    out = path / "x" if under else path
+    for workers in ("1", "2"):
+        assert main(["run", "--config", str(path), "--out", str(out), "--workers", workers]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: cannot create output directory {out}: ")
+    assert os.listdir(tmp_path) == [path.name]
+    with pytest.raises(ConfigError, match="cannot create output directory"):
+        run_experiment(replace(load_config(path), output_dir=str(out)))
+
+
+def test_empty_out_flag_exit_2_writes_nothing(tmp_path, capsys, monkeypatch):
+    # an empty --out is rejected like an empty output_dir, not ignored
+    monkeypatch.chdir(tmp_path)
+    path = write_config(tmp_path, FAST_OVERRIDES.format(out=tmp_path / "out"))
+    assert main(["run", "--config", str(path), "--out", ""]) == 2
+    assert capsys.readouterr().err.startswith("config error: output_dir must not be empty")
+    assert os.listdir(tmp_path) == [path.name]
 
 
 def test_overflowing_initial_state_exit_2_writes_nothing(tmp_path, capsys):

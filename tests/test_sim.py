@@ -240,27 +240,36 @@ def test_weight_divergence_raises_next_step(monkeypatch, bad):
     assert f"|theta| = {np.linalg.norm(log.final_theta):.6g}" in message
 
 
-@pytest.mark.parametrize("scenario", ["S1", "S2"])
-def test_overflowing_state_norm_raises_at_once(monkeypatch, scenario):
-    # a huge but finite control on the k-th call makes |x|^2 overflow while
-    # every entry of x stays finite; the run stops at that step and names
-    # the state, its largest entry and a finite last |x|
-    k = 4
+# a huge but finite control on the KICK_STEP-th call makes |x|^2 overflow
+# while every entry of x stays finite
+KICK_STEP = 4
+KICKED = replace(FAST, horizon=0.05, log_stride=1)
+
+
+def _kicked_run(monkeypatch, scenario):
+    """The DivergenceError of a KICKED run, and the calls its control made."""
     calls = []
 
     def kicked(gains, xd_rate, e, phi, mu):
         u = control_input(gains, xd_rate, e, phi, mu)
         calls.append(mu)
-        if len(calls) == k:
+        if len(calls) == KICK_STEP:
             u[0] = 1.5e157
         return u
 
     monkeypatch.setattr(sim, "control_input", kicked)
-    cfg = replace(FAST, horizon=0.05, log_stride=1)
     with np.errstate(over="ignore"):
         with pytest.raises(DivergenceError) as excinfo:
-            run(cfg, scenario, 0)
-    err = excinfo.value
+            run(KICKED, scenario, 0)
+    return excinfo.value, calls
+
+
+@pytest.mark.parametrize("scenario", ["S1", "S2"])
+def test_overflowing_state_norm_raises_at_once(monkeypatch, scenario):
+    # the run stops at the kicked step and names the state, its largest
+    # entry and a finite last |x|
+    k = KICK_STEP
+    err, calls = _kicked_run(monkeypatch, scenario)
     assert err.step_index == k
     assert len(calls) == k
     assert err.partial_log.rows.shape[0] == k
@@ -270,6 +279,54 @@ def test_overflowing_state_norm_raises_at_once(monkeypatch, scenario):
     last = float(re.search(r"last finite \|x\| = (\S+),", message).group(1))
     assert np.isfinite(last)
     assert last == pytest.approx(np.linalg.norm(column(err.partial_log, "x")[-1]), rel=1e-5)
+
+
+def _running_sum(values):
+    """The values added in order to a running total that starts at 0.0."""
+    total = 0.0
+    for v in values:
+        total += v
+    return total
+
+
+def _assert_statistics_describe_rows(log, config):
+    # at stride 1 the rows are every state the run visited, so each statistic
+    # is a reduction of its rows: exactly where a row holds the value that is
+    # reduced, to round-off where the statistic reduces a squared norm and
+    # the row holds the norm
+    assert config.log_stride == 1 and log.rows.shape[0] == log.n_states
+    times, temps = column(log, "t").tolist(), column(log, "temperature").tolist()
+    e_norms, theta_norms = column(log, "e_norm"), column(log, "theta_norm")
+    assert log.sup_error_norm == max(e_norms)
+    func_errs = column(log, "func_err_norm").tolist()
+    assert log.sum_func_err_sq == _running_sum(v * v for v in func_errs)
+    for (lo, hi), mean in (((0.0, 5.0), log.temp_mean_early), ((25.0, 30.0), log.temp_mean_late)):
+        window = [temp for t, temp in zip(times, temps) if lo <= t <= hi]
+        if window:
+            assert mean == _running_sum(window) / len(window)
+        else:
+            assert np.isnan(mean)
+    assert log.sup_state_norm == pytest.approx(
+        np.linalg.norm(column(log, "x"), axis=1).max(), rel=1e-14, abs=0
+    )
+    assert log.sum_error_sq == pytest.approx(_running_sum((e_norms**2).tolist()), rel=1e-13, abs=0)
+    assert log.max_boundary_value == pytest.approx(
+        theta_norms.max() ** 2 - config.ball_radius**2, rel=1e-13, abs=0
+    )
+
+
+def test_statistics_describe_logged_states_of_finished_run():
+    # 26 s reaches into the late window
+    config = replace(FAST, horizon=26.0, log_stride=1)
+    log = run(config, "S2", 3)
+    assert not np.isnan(log.temp_mean_late)
+    _assert_statistics_describe_rows(log, config)
+
+
+def test_statistics_describe_logged_states_of_diverged_run(monkeypatch):
+    err, _ = _kicked_run(monkeypatch, "S2")
+    assert err.partial_log.n_states == KICK_STEP
+    _assert_statistics_describe_rows(err.partial_log, KICKED)
 
 
 def test_overflowing_weights_clipped_onto_shell(monkeypatch):
