@@ -68,6 +68,8 @@ def parse_seed_spec(text: str) -> tuple[int, ...]:
     ``"1,4,7"`` exactly those seeds.
     """
     text = text.strip()
+    if not text:
+        raise ValueError("empty seed specification")
     if ".." in text:
         lo_text, hi_text = text.split("..", 1)
         lo, hi = int(lo_text), int(hi_text)
@@ -414,7 +416,8 @@ def run_experiment(
 ) -> tuple[tuple[ScenarioSummary, ...], list[RunResult]]:
     """Run the full scenario x seed sweep and write artifacts to disk.
 
-    Produces one trajectory CSV per run (unless ``write_logs`` is false),
+    Produces one trajectory CSV per run (unless ``write_logs`` is false;
+    then no Lyapunov reference is resolved, as only the CSVs log it),
     a ``runs.jsonl`` with per-run metrics, and the summary as
     ``summary.json`` and ``summary.txt``, and returns the summary rows and
     the per-run records. Identical configs and seeds give byte-identical
@@ -426,7 +429,9 @@ def run_experiment(
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise ConfigError(f"cannot create output directory {out_dir}: {exc}") from exc
-    theta_ref = resolve_theta_ref(config)
+    theta_ref = resolve_theta_ref(
+        config if write_logs else replace(config, lyapunov_reference="zero")
+    )
     results = run_batch(
         config,
         workers=workers,
@@ -506,9 +511,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             print(f"config ok: {config}")
             return 0
         overrides = {}
-        if args.scenarios:
+        if args.scenarios is not None:
             overrides["scenarios"] = _parse_scenarios(args.scenarios)
-        if args.seeds:
+        if args.seeds is not None:
             overrides["seeds"] = parse_seed_spec(args.seeds)
         if args.out is not None:
             overrides["output_dir"] = args.out

@@ -19,18 +19,18 @@ the cotangent of its output. The full Jacobian is the same sweep with unit
 cotangents; a central finite-difference oracle in the test suite pins it
 down.
 
-``NetworkEvaluator`` keeps a workspace per row count B, built on the first
-call with B rows: a private copy of the weights with the per-layer matrix
+``NetworkEvaluator`` evaluates the rows of its input one at a time on
+buffers built once: a private copy of the weights with the per-layer matrix
 views on it, the augmented-input buffers with their trailing 1, and flat
 buffers for the hidden pre-activations, the activation's auxiliary value
 (the sigmoid for swish, tanh for tanh) and the slopes. A hidden layer then
-costs a matmul, one transcendental and the value; the slopes of all hidden
+costs a dot, one transcendental and the value; the slopes of all hidden
 layers come from one vectorised pass. Consecutive layers with equal matrix
 shape share stacked input and cotangent buffers, so one broadcast multiply
 writes all of their gradient blocks. Each element sees the same operations
 in the same order as in a plain per-layer loop (kept in the tests as a
 bitwise oracle), and the arrays returned are fresh, never views of the
-workspace.
+buffers.
 """
 
 from __future__ import annotations
@@ -63,21 +63,21 @@ __all__ = [
 
 
 def _swish_value(y, s, out):
-    return np.multiply(y, s, out=out)
+    return np.multiply(y, s, out)
 
 
 def _swish_slope(y, s, out):
     # s * (1 + y * (1 - s))
-    np.subtract(1.0, s, out=out)
-    np.multiply(y, out, out=out)
-    np.add(1.0, out, out=out)
-    return np.multiply(s, out, out=out)
+    np.subtract(1.0, s, out)
+    np.multiply(y, out, out)
+    np.add(1.0, out, out)
+    return np.multiply(s, out, out)
 
 
 def _tanh_slope(y, t, out):
     # 1 - t * t
-    np.multiply(t, t, out=out)
-    return np.subtract(1.0, out, out=out)
+    np.multiply(t, t, out)
+    return np.subtract(1.0, out, out)
 
 
 def _aux_value(y, a, out):
@@ -174,72 +174,50 @@ class Network:
         return out if x.ndim == 2 else out[0]
 
 
-class _Workspace:
-    """Buffers and views of ``NetworkEvaluator`` for one row count B.
-
-    Layer j's augmented input is ``(B, 1, fan_in + 1)`` and its output
-    cotangent ``(B, fan_out, 1)``; a group of consecutive layers with equal
-    matrix shape stacks them along a leading axis. The hidden layers'
-    pre-activations, auxiliary values and slopes sit side by side in flat
-    ``(B, 1, sum of hidden widths)`` buffers.
-    """
-
-    def __init__(self, shape: NetworkShape, rows: int):
-        self.theta = np.empty(shape.param_count)
-        self.jte = np.empty((rows, shape.param_count))
-        mats, inputs, cots, self.blocks = [], [], [], []
-        layers = zip(shape.segments, shape.matrix_shapes)
-        for (r, c), group in groupby(layers, key=lambda layer: layer[1]):
-            group = list(group)
-            a, b = group[0][0][0], group[-1][0][1]
-            u = np.empty((len(group), rows, 1, r))
-            u[..., -1] = 1.0
-            g = np.empty((len(group), rows, c, 1))
-            mats += [self.theta[lo:hi].reshape((r, c), order="F") for (lo, hi), _ in group]
-            inputs += list(u)
-            cots += list(g)
-            # Column-major blocks, viewed as (rows, layers, fan_out, fan_in + 1).
-            block = self.jte[:, a:b].reshape(rows, len(group), c, r)
-            self.blocks.append((g.transpose(1, 0, 2, 3), u.transpose(1, 0, 2, 3), block))
-        self.x = inputs[0][:, 0, :-1]
-        self.e = cots[-1][..., 0]
-        self.last = (inputs[-1], mats[-1])
-        self.phi = np.empty((rows, 1, shape.output_size))
-
-        width = sum(shape.hidden_sizes)
-        self.pre = np.empty((rows, 1, width))
-        self.aux = np.empty((rows, 1, width))
-        self.slopes = np.empty((rows, 1, width))
-        self.forward, self.reverse = [], []
-        offset = 0
-        for j, w in enumerate(shape.hidden_sizes):
-            cut = slice(offset, offset + w)
-            offset += w
-            self.forward.append(
-                (inputs[j], mats[j], self.pre[..., cut], self.aux[..., cut],
-                 inputs[j + 1][..., :-1])
-            )
-            # Layer j + 1 pulls its cotangent back to layer j's output.
-            self.reverse.append(
-                (mats[j + 1][:-1], cots[j + 1], cots[j],
-                 self.slopes[..., cut].transpose(0, 2, 1))
-            )
-        self.reverse.reverse()
-
-
 class NetworkEvaluator:
     """The one implementation of the forward pass and of the weight derivative.
 
     ``Network.forward`` wraps it, and the simulator calls it once per step.
-    Every product is a stacked matmul over the rows, so a row's result does
-    not depend on the other rows. The buffers for a row count are built on
-    its first call and reused; the returned arrays are fresh copies.
+    A row's result does not depend on the other rows.
     """
 
     def __init__(self, shape: NetworkShape):
         self.shape = shape
         self._aux, self._value, self._slope = ACTIVATIONS[shape.activation]
-        self._workspaces: dict[int, _Workspace] = {}
+        self._theta = np.empty(shape.param_count)
+        self._jte = np.empty(shape.param_count)
+        mats, inputs, cots, self._blocks = [], [], [], []
+        layers = zip(shape.segments, shape.matrix_shapes)
+        for (r, c), group in groupby(layers, key=lambda layer: layer[1]):
+            group = list(group)
+            a, b = group[0][0][0], group[-1][0][1]
+            u = np.empty((len(group), 1, r))
+            u[..., -1] = 1.0
+            g = np.empty((len(group), c, 1))
+            mats += [self._theta[lo:hi].reshape((r, c), order="F") for (lo, hi), _ in group]
+            inputs += list(u[:, 0])
+            cots += list(g[..., 0])
+            # Column-major blocks, viewed as (layers, fan_out, fan_in + 1).
+            self._blocks.append((g, u, self._jte[a:b].reshape(len(group), c, r)))
+        self._x = inputs[0][:-1]
+        self._e = cots[-1]
+        self._last = (inputs[-1], mats[-1])
+
+        width = sum(shape.hidden_sizes)
+        self._pre = np.empty(width)
+        self._aux_values = np.empty(width)
+        self._slopes = np.empty(width)
+        self._forward, self._reverse = [], []
+        offset = 0
+        for j, w in enumerate(shape.hidden_sizes):
+            cut = slice(offset, offset + w)
+            offset += w
+            self._forward.append(
+                (inputs[j], mats[j], self._pre[cut], self._aux_values[cut], inputs[j + 1][:-1])
+            )
+            # Layer j + 1 pulls its cotangent back to layer j's output.
+            self._reverse.append((mats[j + 1][:-1], cots[j + 1], cots[j], self._slopes[cut]))
+        self._reverse.reverse()
 
     def evaluate(
         self, theta: np.ndarray, X: np.ndarray, E: Optional[np.ndarray] = None
@@ -254,29 +232,30 @@ class NetworkEvaluator:
         is skipped and the second result is None.
         """
         rows = X.shape[0]
-        ws = self._workspaces.get(rows)
-        if ws is None:
-            ws = self._workspaces[rows] = _Workspace(self.shape, rows)
-        np.copyto(ws.theta, theta)
-        np.copyto(ws.x, X)
+        phi = np.empty((rows, self.shape.output_size))
+        jte = None if E is None else np.empty((rows, self._jte.size))
+        np.copyto(self._theta, theta)
         aux, value = self._aux, self._value
-        for u, m, h, a, act in ws.forward:
-            np.matmul(u, m, out=h)
-            aux(h, out=a)
-            value(h, a, act)
-        np.matmul(*ws.last, out=ws.phi)
-        phi = ws.phi[:, 0].copy()
-        if E is None:
-            return phi, None
-
-        self._slope(ws.pre, ws.aux, ws.slopes)
-        np.copyto(ws.e, E)
-        for back, g, g_prev, slope in ws.reverse:
-            np.matmul(back, g, out=g_prev)
-            np.multiply(g_prev, slope, out=g_prev)
-        for g, u, block in ws.blocks:
-            np.multiply(g, u, out=block)
-        return phi, ws.jte.copy()
+        # out is passed positionally: the keyword costs more per call.
+        for b in range(rows):
+            np.copyto(self._x, X[b])
+            for u, m, h, a, act in self._forward:
+                np.dot(u, m, h)
+                aux(h, a)
+                value(h, a, act)
+            np.dot(*self._last, phi[b])
+            if jte is None:
+                continue
+            self._slope(self._pre, self._aux_values, self._slopes)
+            np.copyto(self._e, E[b])
+            for back, g, g_prev, slope in self._reverse:
+                # np.dot here would round differently from the stacked matmul.
+                np.matmul(back, g, g_prev)
+                np.multiply(g_prev, slope, g_prev)
+            for g, u, block in self._blocks:
+                np.multiply(g, u, block)
+            jte[b] = self._jte
+        return phi, jte
 
 
 def he_init(shape: NetworkShape, rng: RandomSource) -> Network:

@@ -110,7 +110,7 @@ def test_unknown_scenario_rejected(tmp_path):
         load_config(path)
 
 
-def test_seed_specs():
+def test_seed_specs(tmp_path):
     assert parse_seed_spec("30") == tuple(range(30))
     assert parse_seed_spec("5..9") == (5, 6, 7, 8, 9)
     assert parse_seed_spec("1,4,7") == (1, 4, 7)
@@ -118,6 +118,12 @@ def test_seed_specs():
         parse_seed_spec("9..5")
     with pytest.raises(ValueError):
         parse_seed_spec("0")
+    for blank in ("", "  "):
+        with pytest.raises(ValueError, match="^empty seed specification$"):
+            parse_seed_spec(blank)
+    path = write_config(tmp_path, "[experiment]\nseeds =\n")
+    with pytest.raises(ConfigError, match="experiment.seeds: empty seed specification"):
+        load_config(path)
 
 
 def test_config_full_roundtrip(tmp_path):
@@ -566,12 +572,17 @@ def test_uncreatable_output_dir_exit_2_writes_nothing(tmp_path, capsys, under):
 
 
 def test_empty_out_flag_exit_2_writes_nothing(tmp_path, capsys, monkeypatch):
-    # an empty --out is rejected like an empty output_dir, not ignored
+    # an empty --out, --scenarios or --seeds is rejected, not ignored
     monkeypatch.chdir(tmp_path)
     path = write_config(tmp_path, FAST_OVERRIDES.format(out=tmp_path / "out"))
-    assert main(["run", "--config", str(path), "--out", ""]) == 2
-    assert capsys.readouterr().err.startswith("config error: output_dir must not be empty")
-    assert os.listdir(tmp_path) == [path.name]
+    for flag, error in (
+        ("--out", "output_dir must not be empty"),
+        ("--scenarios", "scenarios must name at least one scenario"),
+        ("--seeds", "empty seed specification"),
+    ):
+        assert main(["run", "--config", str(path), flag, ""]) == 2
+        assert capsys.readouterr().err.startswith(f"config error: {error}")
+        assert os.listdir(tmp_path) == [path.name]
 
 
 def test_overflowing_initial_state_exit_2_writes_nothing(tmp_path, capsys):
@@ -634,6 +645,37 @@ def test_summarize_keeps_sweep_scenario_order(tmp_path, capsys):
     run_experiment(config, write_logs=False)
     assert main(["summarize", "--in", str(out)]) == 0
     assert capsys.readouterr().out == (out / "summary.txt").read_text()
+
+
+def test_no_logs_skips_deterministic_reference_run(tmp_path, monkeypatch):
+    # Only the CSVs log the Lyapunov proxy, so without them the reference
+    # run is one integration fewer and the other artifacts do not change.
+    calls = []
+    run_scenario = cli.run_scenario
+
+    def counting_run(config, scenario, seed, theta_ref=None):
+        calls.append((scenario, seed))
+        return run_scenario(config, scenario, seed, theta_ref=theta_ref)
+
+    monkeypatch.setattr(cli, "run_scenario", counting_run)
+    counts = []
+    for write_logs in (True, False):
+        config = ExperimentConfig(
+            horizon=0.2,
+            hidden_layers=1,
+            hidden_width=6,
+            seeds=(0, 1),
+            scenarios=("S1", "S2"),
+            output_dir=str(tmp_path / str(write_logs)),
+            lyapunov_reference="deterministic",
+        )
+        calls.clear()
+        run_experiment(config, write_logs=write_logs)
+        counts.append(len(calls))
+    assert counts == [4, 3]
+    for name in ("runs.jsonl", "summary.json", "summary.txt"):
+        with_logs, without = ((tmp_path / d / name).read_bytes() for d in ("True", "False"))
+        assert with_logs == without
 
 
 def test_cli_overrides(tmp_path, capsys):

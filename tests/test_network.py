@@ -316,8 +316,8 @@ def test_evaluate_bit_equal_to_reference_loop(case):
 
 @pytest.mark.parametrize("activation", sorted(ACTIVATIONS))
 def test_workspace_reuse_leaves_results_intact(activation):
-    # One evaluator, row counts 1, 5, 1 with different weights: the buffers
-    # of a row count are reused, the returned arrays are not.
+    # One evaluator, row counts 1, 5, 1 with different weights: its buffers
+    # are reused across calls, the returned arrays are not.
     shape = NetworkShape(5, (10,) * 4 + (7,), 5, activation=activation)
     rng = RandomSource(17)
     calls = [(he_init(shape, rng).theta, rng.standard_normal(rows * 5).reshape(rows, 5),
