@@ -24,7 +24,7 @@ import json
 import math
 import shutil
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields, replace
 from multiprocessing import Pool
 from pathlib import Path
 from typing import Optional, Sequence
@@ -32,9 +32,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .config import ExperimentConfig
-from .network import Network
-from .numerics import RandomSource
-from .sim import DivergenceError, MetricsReport, metrics, run as run_scenario, write_csv
+from .sim import DivergenceError, MetricsReport, TrajectoryLog, metrics, write_csv
+from .sim import run as run_scenario
 
 __all__ = [
     "ConfigError",
@@ -175,49 +174,42 @@ class RunResult:
     max_boundary_value: float
 
 
-def _execute_run(payload) -> list[RunResult]:
+def _integrate(config, scenario, seed, theta_ref) -> tuple[TrajectoryLog, Optional[str]]:
+    """One run's log and, if it diverged, its error; the log then ends before the failing step."""
+    try:
+        return run_scenario(config, scenario, seed, theta_ref=theta_ref), None
+    except DivergenceError as exc:
+        return exc.partial_log, str(exc)
+
+
+def _execute_run(task) -> list[RunResult]:
     """Integrate one run and report it under each of the task's seeds.
 
     A task holds more than one seed only for a scenario whose runs do not
-    depend on the seed; the first seed's run then stands for all of them,
-    and its CSV is copied to every seed's path. A diverged run's CSV holds
-    the rows logged before the failing step.
+    depend on the seed; the first seed's run then stands for all of them.
+    With an output directory, its CSV is written under the first seed's
+    name and copied to every other seed's.
     """
-    config, scenario, seeds, theta_ref, csv_paths = payload
-    try:
-        log = run_scenario(config, scenario, seeds[0], theta_ref=theta_ref)
-    except DivergenceError as exc:
-        log, error = exc.partial_log, str(exc)
-        report = MetricsReport(math.nan, math.nan, math.nan)
-        temp_means = (math.nan, math.nan)
-    else:
-        error = None
-        report = metrics(
-            log,
-            Network(config.network_shape(), log.final_theta),
-            RandomSource(config.offtraj_seed),
-            count=config.offtraj_count,
-            low=config.offtraj_low,
-            high=config.offtraj_high,
-        )
-        temp_means = (log.temp_mean_early, log.temp_mean_late)
-    if csv_paths is not None:
-        write_csv(log, csv_paths[0])
-        for path in csv_paths[1:]:
-            shutil.copyfile(csv_paths[0], path)
+    config, scenario, seeds, theta_ref, out_dir = task
+    log, error = _integrate(config, scenario, seeds[0], theta_ref)
+    ok = error is None
+    report = metrics(config, log) if ok else MetricsReport(math.nan, math.nan, math.nan)
+    if out_dir is not None:
+        first, *others = (out_dir / f"{scenario}_seed{seed:04d}.csv" for seed in seeds)
+        write_csv(log, first)
+        for path in others:
+            shutil.copyfile(first, path)
     result = RunResult(
         scenario=scenario,
         seed=seeds[0],
-        diverged=error is not None,
+        diverged=not ok,
         error=error,
-        rms_error=report.rms_error,
-        rms_func_err=report.rms_func_err,
-        off_traj_rms=report.off_traj_rms,
+        **asdict(report),
         clip_count=log.clip_count,
         sup_state_norm=log.sup_state_norm,
         sup_error_norm=log.sup_error_norm,
-        temp_mean_early=temp_means[0],
-        temp_mean_late=temp_means[1],
+        temp_mean_early=log.temp_mean_early if ok else math.nan,
+        temp_mean_late=log.temp_mean_late if ok else math.nan,
         max_boundary_value=log.max_boundary_value,
     )
     return [replace(result, seed=seed) for seed in seeds]
@@ -236,10 +228,7 @@ def resolve_theta_ref(config: ExperimentConfig) -> Optional[np.ndarray]:
         return None
     if mode == "initial":
         return config.initial_theta()
-    try:
-        ref_log = run_scenario(replace(config, log_stride=sys.maxsize), "S1", config.seeds[0])
-    except DivergenceError as exc:
-        ref_log = exc.partial_log
+    ref_log, _ = _integrate(replace(config, log_stride=sys.maxsize), "S1", config.seeds[0], None)
     return ref_log.final_theta
 
 
@@ -264,13 +253,7 @@ def run_batch(
             groups = [config.seeds]
         else:
             groups = [(seed,) for seed in config.seeds]
-        for seeds in groups:
-            csv_paths = (
-                [str(out_dir / f"{scenario}_seed{seed:04d}.csv") for seed in seeds]
-                if out_dir is not None
-                else None
-            )
-            tasks.append((config, scenario, seeds, theta_ref, csv_paths))
+        tasks += [(config, scenario, seeds, theta_ref, out_dir) for seeds in groups]
     workers = min(workers, len(tasks))
     if workers > 1:
         with Pool(processes=workers) as pool:
@@ -451,9 +434,19 @@ def run_experiment(
 
 
 def load_results(out_dir) -> list[RunResult]:
-    """Read back the per-run records written by :func:`run_experiment`."""
+    """Read back the per-run records written by :func:`run_experiment`.
+
+    A ``runs.jsonl`` with no record, or with a line that is not a JSON
+    object, raises ``ValueError``.
+    """
     with open(Path(out_dir) / "runs.jsonl", "r", encoding="ascii") as fh:
-        return [_from_record(RunResult, json.loads(line)) for line in fh if line.strip()]
+        records = [json.loads(line) for line in fh if line.strip()]
+    if not records:
+        raise ValueError("runs.jsonl holds no records")
+    for rec in records:
+        if not isinstance(rec, dict):
+            raise ValueError(f"runs.jsonl holds a record that is not a JSON object: {rec!r}")
+    return [_from_record(RunResult, rec) for rec in records]
 
 
 # ---------------------------------------------------------------------------
@@ -514,7 +507,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if args.scenarios is not None:
             overrides["scenarios"] = _parse_scenarios(args.scenarios)
         if args.seeds is not None:
-            overrides["seeds"] = parse_seed_spec(args.seeds)
+            try:
+                overrides["seeds"] = parse_seed_spec(args.seeds)
+            except ValueError as exc:
+                raise ConfigError(f"--seeds: {exc}") from exc
         if args.out is not None:
             overrides["output_dir"] = args.out
         if overrides:

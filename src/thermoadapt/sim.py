@@ -297,26 +297,23 @@ def run(
         i += 1
 
 
-def metrics(
-    log: TrajectoryLog,
-    net_final: Network,
-    rng: RandomSource,
-    count: int = 90,
-    low: float = -0.5,
-    high: float = 0.5,
-) -> MetricsReport:
-    """Error metrics of a completed run.
+def metrics(config: ExperimentConfig, log: TrajectoryLog) -> MetricsReport:
+    """Error metrics of a completed run of ``config``.
 
     Tracking and on-trajectory function errors are RMS values over every
     integration step (not just the decimated rows). The off-trajectory
-    error evaluates the final weights on ``count`` random points with
-    coordinates uniform on ``[low, high)`` drawn from ``rng``, in one
-    forward call over the rows of the point array; pass a freshly seeded
-    source to share the test set across runs.
+    error evaluates the final weights, in one forward call, on the config's
+    test set: ``offtraj_count`` points with coordinates uniform on
+    ``[offtraj_low, offtraj_high)``, drawn from a fresh
+    ``RandomSource(offtraj_seed)`` so that every run shares them. Final
+    weights that do not fit the config's network are rejected.
     """
     if log.n_states < 1:
         raise ValueError("metrics requires a non-empty log")
-    points = rng.uniform(low, high, (count, STATE_DIM))
+    net_final = Network(config.network_shape(), log.final_theta)
+    points = RandomSource(config.offtraj_seed).uniform(
+        config.offtraj_low, config.offtraj_high, (config.offtraj_count, STATE_DIM)
+    )
     model = net_final.forward(points)
     off_sq = 0.0
     for pt, phi in zip(points, model):
@@ -325,7 +322,7 @@ def metrics(
     return MetricsReport(
         rms_error=float(np.sqrt(log.sum_error_sq / log.n_states)),
         rms_func_err=float(np.sqrt(log.sum_func_err_sq / log.n_states)),
-        off_traj_rms=float(np.sqrt(off_sq / count)),
+        off_traj_rms=float(np.sqrt(off_sq / config.offtraj_count)),
     )
 
 

@@ -578,11 +578,36 @@ def test_empty_out_flag_exit_2_writes_nothing(tmp_path, capsys, monkeypatch):
     for flag, error in (
         ("--out", "output_dir must not be empty"),
         ("--scenarios", "scenarios must name at least one scenario"),
-        ("--seeds", "empty seed specification"),
+        ("--seeds", "--seeds: empty seed specification"),
     ):
         assert main(["run", "--config", str(path), flag, ""]) == 2
         assert capsys.readouterr().err.startswith(f"config error: {error}")
         assert os.listdir(tmp_path) == [path.name]
+
+
+def test_unparsable_seeds_flag_names_the_flag(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["run", "--seeds", "abc", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "config error: --seeds: invalid literal for int() with base 10: 'abc'\n"
+    )
+    assert not out.exists()
+
+
+# horizon / dt is no exact step count (1e303 > 2**53) or overflows to inf
+@pytest.mark.parametrize("extra", ["", "dt = 1e-10\n"], ids=["above-2**53", "inf"])
+def test_unsizable_step_count_exit_2_writes_nothing(tmp_path, capsys, extra):
+    out = tmp_path / "out"
+    text = FAST_OVERRIDES.format(out=out).replace("horizon = 0.5\n", "horizon = 1e300\n" + extra)
+    path = write_config(tmp_path, text)
+    for command in (["validate"], ["run", "--workers", "2"]):
+        assert main([*command, "--config", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("config error: horizon / dt must be at most 2**53")
+    assert os.listdir(tmp_path) == [path.name]
+    # 2**53 steps is the largest count accepted
+    replace(ExperimentConfig(), horizon=2.0**53, dt=1.0)
+    with pytest.raises(ValueError, match="horizon / dt"):
+        replace(ExperimentConfig(), horizon=2.0**54, dt=1.0)
 
 
 def test_overflowing_initial_state_exit_2_writes_nothing(tmp_path, capsys):
@@ -630,6 +655,21 @@ def test_run_and_summarize_cli(tmp_path, capsys):
     assert main(["summarize", "--in", str(tmp_path / "out"), "--format", "csv"]) == 0
     csv_text = capsys.readouterr().out
     assert csv_text.splitlines()[0].startswith("scenario,")
+
+
+@pytest.mark.parametrize("text, reason", [
+    ("", "holds no records"),
+    ("\n \n", "holds no records"),
+    ("null\n", "not a JSON object: None"),
+    ("[1, 2]\n", "not a JSON object: [1, 2]"),
+], ids=["empty", "blank", "null", "list"])
+def test_summarize_broken_runs_file_exit_2(tmp_path, capsys, text, reason):
+    (tmp_path / "runs.jsonl").write_text(text)
+    assert main(["summarize", "--in", str(tmp_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"cannot load results from {tmp_path}: runs.jsonl ")
+    assert reason in captured.err
 
 
 def test_summarize_keeps_sweep_scenario_order(tmp_path, capsys):

@@ -492,13 +492,14 @@ class _PerfectModel:
         return np.array([plant_drift(pt) for pt in points])
 
 
-def test_metrics_off_trajectory_zero_for_perfect_model(fast_s2_log):
-    report = metrics(fast_s2_log, _PerfectModel(), RandomSource(1))
+def test_metrics_off_trajectory_zero_for_perfect_model(fast_s2_log, monkeypatch):
+    monkeypatch.setattr(sim, "Network", lambda shape, theta: _PerfectModel())
+    report = metrics(FAST, fast_s2_log)
     assert report.off_traj_rms == 0.0
 
 
 def test_metrics_rms_values(fast_s2_log):
-    report = metrics(fast_s2_log, _PerfectModel(), RandomSource(1))
+    report = metrics(FAST, fast_s2_log)
     assert report.rms_error == pytest.approx(
         np.sqrt(fast_s2_log.sum_error_sq / fast_s2_log.n_states)
     )
@@ -508,30 +509,50 @@ def test_metrics_rms_values(fast_s2_log):
 
 
 def test_metrics_test_points_reproducible(fast_s2_log):
-    net = Network(FAST.network_shape(), fast_s2_log.final_theta)
-    a = metrics(fast_s2_log, net, RandomSource(99))
-    b = metrics(fast_s2_log, net, RandomSource(99))
+    cfg = replace(FAST, offtraj_seed=99)
+    a = metrics(cfg, fast_s2_log)
+    b = metrics(cfg, fast_s2_log)
     assert a.off_traj_rms == b.off_traj_rms
+
+
+def test_metrics_uses_configured_test_set(fast_s2_log):
+    # count, range and seed of the test set all come from the config
+    base = metrics(FAST, fast_s2_log).off_traj_rms
+    for change in ({"offtraj_count": 10}, {"offtraj_low": -0.4}, {"offtraj_high": 0.6},
+                   {"offtraj_seed": 99}):
+        assert metrics(replace(FAST, **change), fast_s2_log).off_traj_rms != base
 
 
 @pytest.mark.parametrize("layers, width", [(9, 10), (2, 48)], ids=["paper", "wide"])
 def test_metrics_off_trajectory_matches_pointwise_forward(fast_s2_log, layers, width):
     # one forward call over all test points sums exactly like one call per point
-    cfg = replace(FAST, hidden_layers=layers, hidden_width=width)
+    cfg = replace(FAST, hidden_layers=layers, hidden_width=width, offtraj_seed=42)
     net = Network(cfg.network_shape(), cfg.initial_theta())
     points = RandomSource(42).uniform(-0.5, 0.5, (90, 5))
     off_sq = 0.0
     for pt in points:
         diff = plant_drift(pt) - net.forward(pt)
         off_sq += float(diff @ diff)
-    report = metrics(fast_s2_log, net, RandomSource(42))
+    report = metrics(cfg, replace(fast_s2_log, final_theta=cfg.initial_theta()))
     assert report.off_traj_rms == np.sqrt(off_sq / 90)
 
 
 def test_metrics_rejects_empty_log(fast_s2_log):
     empty = replace(fast_s2_log, n_states=0)
     with pytest.raises(ValueError):
-        metrics(empty, _PerfectModel(), RandomSource(0))
+        metrics(FAST, empty)
+
+
+@pytest.mark.parametrize("edit", [
+    lambda theta: theta[:1],
+    lambda theta: theta[:-1],
+    lambda theta: np.append(theta, 0.0),
+    lambda theta: theta[None],
+], ids=["one", "short", "long", "2-d"])
+def test_metrics_rejects_weights_not_fitting_the_network(fast_s2_log, edit):
+    # the evaluator would broadcast a size-1 theta over its weight buffer
+    with pytest.raises(ValueError, match="shape needs"):
+        metrics(FAST, replace(fast_s2_log, final_theta=edit(fast_s2_log.final_theta)))
 
 
 def test_unknown_scenario_rejected():
