@@ -13,7 +13,7 @@ Exit codes: 0 success, 2 configuration error, 3 at least one run diverged.
 
 The config file is INI-style with one section per concern; every key has a
 default matching the benchmark study, so an empty file is a valid config.
-Unknown sections or keys are rejected to catch typos.
+Values are literal; unknown sections (``[DEFAULT]`` too) or keys are rejected.
 """
 
 from __future__ import annotations
@@ -76,7 +76,7 @@ def parse_seed_spec(text: str) -> tuple[int, ...]:
             raise ValueError(f"empty seed range {text!r}")
         return tuple(range(lo, hi + 1))
     if "," in text:
-        return tuple(int(s) for s in text.split(",") if s.strip())
+        return tuple(int(s) for s in text.split(","))
     count = int(text)
     if count < 1:
         raise ValueError(f"seed count must be >= 1, got {count}")
@@ -121,10 +121,12 @@ _KNOWN_SECTIONS = {section for section, _ in _SCHEMA}
 def load_config(path) -> ExperimentConfig:
     """Read a config file; missing keys take the benchmark defaults.
 
-    Unknown sections or keys raise :class:`ConfigError` (typo protection),
-    as do unparsable or out-of-range values.
+    Values are literal; unknown sections (``[DEFAULT]`` too) or keys raise
+    :class:`ConfigError` (typo protection), as do unparsable or out-of-range values.
     """
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+    parser = configparser.ConfigParser(
+        inline_comment_prefixes=("#", ";"), interpolation=None, default_section=""
+    )
     try:
         with open(path, "r", encoding="utf-8") as fh:
             parser.read_file(fh)
@@ -303,17 +305,16 @@ def _mean_std(values: Sequence[float]) -> tuple[float, float]:
     return float(arr.mean()), float(arr.std())
 
 
-def build_summary(
-    results: Sequence[RunResult], scenario_order: Sequence[str]
-) -> tuple[ScenarioSummary, ...]:
+def build_summary(results: Sequence[RunResult]) -> tuple[ScenarioSummary, ...]:
     """Aggregate per-run metrics into per-scenario means and improvements.
 
+    Rows follow the order in which the scenarios first appear in ``results``.
     Means and standard deviations are over the runs that did not diverge.
     Improvements are percentage reductions relative to the S1 means,
     computed from unrounded values; they are omitted when S1 is absent.
     """
     rows = []
-    for name in scenario_order:
+    for name in dict.fromkeys(r.scenario for r in results):
         runs = [r for r in results if r.scenario == name]
         ok = [r for r in runs if not r.diverged]
         row = {"scenario": name, "runs": len(runs), "diverged": len(runs) - len(ok)}
@@ -342,12 +343,40 @@ def _record(obj) -> dict:
             for k, v in rec.items()}
 
 
+def _is_int(value) -> bool:
+    # a JSON true or false reads as a bool, which Python counts as an int
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+# A record field's annotation -> what its JSON value must be, and the test;
+# float() of an integer past the float range would overflow.
+_JSON_TYPES = {
+    "str": ("a string", lambda v: isinstance(v, str)),
+    "Optional[str]": ("a string or null", lambda v: v is None or isinstance(v, str)),
+    "bool": ("true or false", lambda v: isinstance(v, bool)),
+    "int": ("an integer", _is_int),
+    "float": ("a number in the float range, or null", lambda v: (
+        v is None or isinstance(v, float) or _is_int(v) and abs(v) <= sys.float_info.max
+    )),
+}
+
+
 def _from_record(cls, rec: dict):
-    """Inverse of :func:`_record`: a null reads as NaN for a ``float`` field."""
-    return cls(**{
-        f.name: float("nan") if rec[f.name] is None and f.type == "float" else rec[f.name]
-        for f in fields(cls)
-    })
+    """Inverse of :func:`_record`: a null reads as NaN for a ``float`` field.
+
+    A value that does not fit its field's type raises ``ValueError`` naming
+    the field.
+    """
+    values = {}
+    for f in fields(cls):
+        value = rec[f.name]
+        expected, fits = _JSON_TYPES[f.type]
+        if not fits(value):
+            raise ValueError(f"field {f.name!r} must be {expected}, got {value!r}")
+        if f.type == "float":
+            value = math.nan if value is None else float(value)
+        values[f.name] = value
+    return cls(**values)
 
 
 def _csv_cell(value) -> str:
@@ -424,7 +453,7 @@ def run_experiment(
     with open(out_dir / "runs.jsonl", "w", encoding="ascii") as fh:
         for r in results:
             fh.write(json.dumps(_record(r), sort_keys=True) + "\n")
-    rows = build_summary(results, config.scenarios)
+    rows = build_summary(results)
     with open(out_dir / "summary.json", "w", encoding="ascii") as fh:
         records = [_record(row) for row in rows]
         fh.write(json.dumps({"scenarios": records}, sort_keys=True, indent=2) + "\n")
@@ -436,17 +465,22 @@ def run_experiment(
 def load_results(out_dir) -> list[RunResult]:
     """Read back the per-run records written by :func:`run_experiment`.
 
-    A ``runs.jsonl`` with no record, or with a line that is not a JSON
-    object, raises ``ValueError``.
+    A ``runs.jsonl`` with no record, with a line that is not a JSON object,
+    or with a value whose type does not fit its field raises ``ValueError``.
     """
     with open(Path(out_dir) / "runs.jsonl", "r", encoding="ascii") as fh:
-        records = [json.loads(line) for line in fh if line.strip()]
+        records = [(n, json.loads(line)) for n, line in enumerate(fh, 1) if line.strip()]
     if not records:
         raise ValueError("runs.jsonl holds no records")
-    for rec in records:
+    results = []
+    for n, rec in records:
         if not isinstance(rec, dict):
             raise ValueError(f"runs.jsonl holds a record that is not a JSON object: {rec!r}")
-    return [_from_record(RunResult, rec) for rec in records]
+        try:
+            results.append(_from_record(RunResult, rec))
+        except ValueError as exc:
+            raise ValueError(f"runs.jsonl line {n}: {exc}") from None
+    return results
 
 
 # ---------------------------------------------------------------------------
@@ -492,9 +526,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         except (OSError, ValueError, KeyError) as exc:
             print(f"cannot load results from {args.in_dir}: {exc}", file=sys.stderr)
             return 2
-        # runs.jsonl lists the runs in the sweep's scenario order
-        scenario_order = tuple(dict.fromkeys(r.scenario for r in results))
-        sys.stdout.write(print_summary(build_summary(results, scenario_order), args.format))
+        sys.stdout.write(print_summary(build_summary(results), args.format))
         return 0
 
     # validate and run

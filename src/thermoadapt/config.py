@@ -78,8 +78,14 @@ class ExperimentConfig:
         if self.dt <= 0.0:
             raise ValueError(f"dt must be positive, got {self.dt}")
         # Past 2**53 round() gives no exact step count; past 2**63 numpy sizes no table.
-        if not self.horizon / self.dt <= 2.0**53:
+        steps = self.horizon / self.dt
+        if not steps <= 2.0**53:
             raise ValueError(f"horizon / dt must be at most 2**53, got {self.horizon} / {self.dt}")
+        # sim.run takes round(horizon / dt) steps; a fraction would move the end time.
+        if abs(steps - round(steps)) > 1e-9 * steps:
+            raise ValueError(
+                f"horizon / dt must be a whole number of steps, got {self.horizon} / {self.dt}"
+            )
         unknown = [s for s in self.scenarios if s not in SCENARIO_NAMES]
         if unknown:
             raise ValueError(f"unknown scenarios {unknown}; choose from {SCENARIO_NAMES}")

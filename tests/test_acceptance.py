@@ -57,8 +57,8 @@ def battery():
 @pytest.fixture(scope="session")
 def trend(battery):
     """The summary rows of the first TREND_SEEDS seeds, by scenario."""
-    config, results = battery
-    rows = build_summary([r for r in results if r.seed < TREND_SEEDS], config.scenarios)
+    _, results = battery
+    rows = build_summary([r for r in results if r.seed < TREND_SEEDS])
     return {row.scenario: row for row in rows}
 
 

@@ -110,7 +110,7 @@ def test_unknown_scenario_rejected(tmp_path):
         load_config(path)
 
 
-def test_seed_specs(tmp_path):
+def test_seed_specs(tmp_path, capsys):
     assert parse_seed_spec("30") == tuple(range(30))
     assert parse_seed_spec("5..9") == (5, 6, 7, 8, 9)
     assert parse_seed_spec("1,4,7") == (1, 4, 7)
@@ -124,6 +124,18 @@ def test_seed_specs(tmp_path):
     path = write_config(tmp_path, "[experiment]\nseeds =\n")
     with pytest.raises(ConfigError, match="experiment.seeds: empty seed specification"):
         load_config(path)
+    # every listed entry is a seed: an empty one is an error, not skipped
+    for spec in ("1,,2", "1,4,", ","):
+        with pytest.raises(ValueError, match="invalid literal for int"):
+            parse_seed_spec(spec)
+        path = write_config(tmp_path, f"[experiment]\nseeds = {spec}\n")
+        with pytest.raises(ConfigError, match="^invalid value for experiment.seeds: "):
+            load_config(path)
+        assert main(["run", "--seeds", spec, "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.startswith("config error: --seeds: invalid literal")
+    assert os.listdir(tmp_path) == [path.name]
+    with pytest.raises(ValueError, match="at least one seed is required"):
+        ExperimentConfig(seeds=())
 
 
 def test_config_full_roundtrip(tmp_path):
@@ -229,7 +241,7 @@ def test_summary_improvements_reference_values():
         )
         for s, v in table_values.items()
     ]
-    s1, s2, s3, s4 = build_summary(results, ("S1", "S2", "S3", "S4"))
+    s1, s2, s3, s4 = build_summary(results)
     assert s1.improvement_rms_error == pytest.approx(0.0)
     assert s2.improvement_rms_error == pytest.approx(20.1635, abs=1e-3)
     assert s3.improvement_rms_error == pytest.approx(20.0272, abs=1e-3)
@@ -269,7 +281,7 @@ def test_summary_jsonl_parses(experiment_out):
 
 def test_single_scenario_single_row(experiment_out):
     _, _, results, _ = experiment_out
-    (only_s2,) = build_summary([r for r in results if r.scenario == "S2"], ("S2",))
+    (only_s2,) = build_summary([r for r in results if r.scenario == "S2"])
     assert only_s2.improvement_rms_error is None  # no baseline present
 
 
@@ -557,6 +569,72 @@ def test_non_finite_or_empty_value_exit_2_writes_nothing(
     assert os.listdir(tmp_path) == [path.name]
 
 
+# each edit of the config text, or flag, breaks one rule; the error names the
+# field (the file, for a missing section header). Values are literal, and
+# [DEFAULT] is one more unknown section.
+@pytest.mark.parametrize("edit, flags, message", [
+    (lambda text: text.replace("horizon = 0.5", "horizon = -1"), [],
+     "horizon must be nonnegative"),
+    (lambda text: text.replace("horizon = 0.5", "horizon = 1.0\ndt = 0.6"), [],
+     "horizon / dt must be a whole number of steps, got 1.0 / 0.6"),
+    (lambda text: text.replace("horizon = 0.5", "horizon = 1.0\ndt = 0.4"), [],
+     "horizon / dt must be a whole number of steps, got 1.0 / 0.4"),
+    (lambda text: text.replace("horizon = 0.5", "horizon = 1.0\ndt = 0.3"), [],
+     "horizon / dt must be a whole number of steps, got 1.0 / 0.3"),
+    (lambda text: text.replace("seeds = 2", "seeds = 2\nscenarios = S1,S1"), [],
+     "scenarios must not repeat"),
+    (lambda text: text.replace("seeds = 2", "seeds = 2\ninitial_state = 0,-1,3"), [],
+     "initial_state needs 5 entries, got 3"),
+    (lambda text: text.replace("hidden_layers = 2", "hidden_layers = -1"), [],
+     "hidden_layers must be >= 0"),
+    (lambda text: text.replace("hidden_width = 8", "hidden_width = 0"), [],
+     "hidden_width must be >= 1"),
+    (lambda text: text + "[temperature]\nscale = 0\n", [], "temp_scale must be positive"),
+    (lambda text: text + "[temperature]\nquad_weight = -0.01\n", [],
+     "temp_quad_weight must be nonnegative"),
+    (lambda text: text.replace("seeds = 2", "seeds = 2\nlog_stride = 0"), [],
+     "log_stride must be >= 1"),
+    (lambda text: text + "[offtrajectory]\ncount = 0\n", [], "offtraj_count must be >= 1"),
+    (lambda text: text + "[offtrajectory]\nlow = 0.5\n", [],
+     "offtraj_low must be below offtraj_high"),
+    (lambda text: text + "[lyapunov]\nreference = final\n", [],
+     "lyapunov_reference must be deterministic/initial/zero, got 'final'"),
+    (lambda text: text, ["--workers", "0"], "workers must be >= 1, got 0"),
+    (lambda text: "horizon = 0.5\n" + text, [], "cannot parse config {path}: "),
+    (lambda text: "[DEFAULT]\nhorizon = 1.0\n", [], "unknown config section [DEFAULT]"),
+    (lambda text: "[DEFAULT]\nhorizon = 1.0\n" + text, [], "unknown config section [DEFAULT]"),
+    (lambda text: text.replace("horizon = 0.5", "horizon = 0.5%"), [],
+     "invalid value for experiment.horizon: could not convert string to float: '0.5%'"),
+], ids=["horizon", "fraction-0.6", "fraction-0.4", "fraction-0.3", "scenarios",
+        "initial_state", "hidden_layers", "hidden_width", "temperature.scale",
+        "temperature.quad_weight", "log_stride", "offtrajectory.count", "offtrajectory.low",
+        "lyapunov.reference", "workers", "no-section-header", "DEFAULT-alone",
+        "DEFAULT-with-sections", "percent"])
+def test_rejected_config_exit_2_writes_nothing(
+    tmp_path, capsys, monkeypatch, edit, flags, message
+):
+    # without output_dir the artifacts would go to the working directory
+    monkeypatch.chdir(tmp_path)
+    path = write_config(tmp_path, edit(FAST_OVERRIDES.format(out=tmp_path / "out")))
+    commands = [["run", "--workers", "2", *flags]] + ([] if flags else [["validate"]])
+    for command in commands:
+        assert main([*command, "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: " + message.format(path=path))
+    assert os.listdir(tmp_path) == [path.name]
+
+
+def test_config_values_are_literal(tmp_path, capsys):
+    # a % in a value is a character, not an interpolation
+    out = tmp_path / "runs_100%"
+    text = FAST_OVERRIDES.format(out=out).replace("horizon = 0.5", "horizon = 0.05")
+    path = write_config(tmp_path, text + "[lyapunov]\nreference = zero\n")
+    assert load_config(path).output_dir == str(out)
+    assert main(["run", "--config", str(path), "--no-logs"]) == 0
+    assert main(["summarize", "--in", str(out)]) == 0
+    assert capsys.readouterr().out.endswith((out / "summary.txt").read_text())
+
+
 @pytest.mark.parametrize("under", [False, True], ids=["file", "under-file"])
 def test_uncreatable_output_dir_exit_2_writes_nothing(tmp_path, capsys, under):
     # --out names a regular file, or a path below one
@@ -670,6 +748,35 @@ def test_summarize_broken_runs_file_exit_2(tmp_path, capsys, text, reason):
     assert captured.out == ""
     assert captured.err.startswith(f"cannot load results from {tmp_path}: runs.jsonl ")
     assert reason in captured.err
+
+
+# each edit gives one field of the second record a JSON value of the wrong type
+@pytest.mark.parametrize("field, value, expected", [
+    ("rms_error", "x", "a number in the float range, or null"),
+    ("scenario", ["S1"], "a string"),
+    ("diverged", "no", "true or false"),
+    ("seed", 0.5, "an integer"),
+    ("clip_count", True, "an integer"),
+], ids=["rms_error", "scenario", "diverged", "seed", "clip_count"])
+def test_summarize_mistyped_field_exit_2(tmp_path, capsys, field, value, expected):
+    record = cli._record(RunResult(
+        scenario="S1", seed=0, diverged=False, error=None, rms_error=0.1, rms_func_err=1.0,
+        off_traj_rms=1.0, clip_count=0, sup_state_norm=1.0, sup_error_norm=1.0,
+        temp_mean_early=1.0, temp_mean_late=np.nan, max_boundary_value=-1.0,
+    ))
+    lines = [json.dumps(record), json.dumps({**record, "seed": 1, field: value})]
+    (tmp_path / "runs.jsonl").write_text("\n".join(lines) + "\n")
+    assert main(["summarize", "--in", str(tmp_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"cannot load results from {tmp_path}: runs.jsonl line 2: "
+        f"field {field!r} must be {expected}, got {value!r}\n"
+    )
+    # the unedited record reads back field for field
+    (tmp_path / "runs.jsonl").write_text(lines[0] + "\n")
+    (loaded,) = cli.load_results(tmp_path)
+    assert cli._record(loaded) == record
 
 
 def test_summarize_keeps_sweep_scenario_order(tmp_path, capsys):
