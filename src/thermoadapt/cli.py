@@ -364,11 +364,13 @@ _JSON_TYPES = {
 def _from_record(cls, rec: dict):
     """Inverse of :func:`_record`: a null reads as NaN for a ``float`` field.
 
-    A value that does not fit its field's type raises ``ValueError`` naming
-    the field.
+    A missing field, or a value that does not fit its field's type, raises
+    ``ValueError`` naming the field.
     """
     values = {}
     for f in fields(cls):
+        if f.name not in rec:
+            raise ValueError(f"field {f.name!r} is missing")
         value = rec[f.name]
         expected, fits = _JSON_TYPES[f.type]
         if not fits(value):
@@ -465,21 +467,29 @@ def run_experiment(
 def load_results(out_dir) -> list[RunResult]:
     """Read back the per-run records written by :func:`run_experiment`.
 
-    A ``runs.jsonl`` with no record, with a line that is not a JSON object,
-    or with a value whose type does not fit its field raises ``ValueError``.
+    A ``runs.jsonl`` with no record raises ``ValueError``, and so does a line
+    that is not ASCII, not valid JSON or not a JSON object, or a record with a
+    field missing or of the wrong type; then the message starts with
+    ``runs.jsonl line N:``.
     """
-    with open(Path(out_dir) / "runs.jsonl", "r", encoding="ascii") as fh:
-        records = [(n, json.loads(line)) for n, line in enumerate(fh, 1) if line.strip()]
-    if not records:
-        raise ValueError("runs.jsonl holds no records")
     results = []
-    for n, rec in records:
-        if not isinstance(rec, dict):
-            raise ValueError(f"runs.jsonl holds a record that is not a JSON object: {rec!r}")
-        try:
-            results.append(_from_record(RunResult, rec))
-        except ValueError as exc:
-            raise ValueError(f"runs.jsonl line {n}: {exc}") from None
+    with open(Path(out_dir) / "runs.jsonl", "rb") as fh:
+        for n, line in enumerate(fh, 1):
+            try:
+                text = line.decode("ascii").rstrip("\r\n")
+                if not text.strip():
+                    continue
+                rec = json.loads(text)
+                if not isinstance(rec, dict):
+                    raise ValueError(f"not a JSON object: {rec!r}")
+                results.append(_from_record(RunResult, rec))
+            except json.JSONDecodeError as exc:
+                # The line is parsed alone, so json's line number is always 1.
+                raise ValueError(f"runs.jsonl line {n}: {exc.msg} at column {exc.colno}") from None
+            except ValueError as exc:
+                raise ValueError(f"runs.jsonl line {n}: {exc}") from None
+    if not results:
+        raise ValueError("runs.jsonl holds no records")
     return results
 
 
@@ -523,7 +533,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if args.command == "summarize":
         try:
             results = load_results(args.in_dir)
-        except (OSError, ValueError, KeyError) as exc:
+        except (OSError, ValueError) as exc:
             print(f"cannot load results from {args.in_dir}: {exc}", file=sys.stderr)
             return 2
         sys.stdout.write(print_summary(build_summary(results), args.format))

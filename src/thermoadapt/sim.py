@@ -14,9 +14,10 @@ region, the weights are radially clipped back onto its outer shell and the
 event is counted.
 
 A run logs a decimated trajectory as one table whose columns are
-``CSV_COLUMNS``, in that order. Its statistics (error sums, sup norms,
-temperature window means, largest boundary value) are reduced once, when the
-log is built, from a per-step table that every step writes one row of.
+``CSV_COLUMNS``, in that order. Every step writes one row of a per-step table
+(|e|^2, |f - Phi|, |x|^2, T, |theta|^2, clip flag); when the log is built, that
+table fills the time, norm, temperature, model-error and clip columns and is
+reduced to the log's statistics (error sums, sup norms, window means, clips).
 """
 
 from __future__ import annotations
@@ -114,7 +115,8 @@ def _divergence_message(
 
 @dataclass
 class TrajectoryLog:
-    """Trajectory rows in ``CSV_COLUMNS`` order plus statistics reduced from every step."""
+    """Trajectory rows in ``CSV_COLUMNS`` order plus statistics. The statistics and the rows'
+    time, norm, temperature, model-error and clip columns come from the run's per-step table."""
 
     rows: np.ndarray
     n_states: int
@@ -178,8 +180,9 @@ def run(
     explore = gains.diffusion_gain > 0.0
 
     rows = np.empty((n_rows, len(CSV_COLUMNS)))
-    # Every step's |e|^2, |f - Phi|, |x|^2, T and |theta|^2; _build_log reduces it.
-    steps = np.empty((n_steps + 1, 5))
+    # State i's |e|^2, |f - Phi|, |x|^2, T, |theta|^2, and 1.0 if the step into it
+    # clipped (also a step that diverges); _build_log lays it out and reduces it.
+    steps = np.zeros((n_steps + 1, 6))
     # Summed in step order, so times[i] is the running t += dt bit for bit.
     times = np.zeros(n_steps + 1)
     np.cumsum(np.full(n_steps, dt), out=times[1:])
@@ -191,17 +194,22 @@ def run(
     x_sq = float(x.dot(x))
     theta_sq = float(theta.dot(theta))
 
-    clip_count = 0
-    clips_since_row = 0
-    row = 0
     i = 0
 
     def _build_log(rows_done: np.ndarray) -> TrajectoryLog:
         # Steps 0..i. np.cumsum adds in step order like a running total; np.sum
         # (pairwise) and the builtin sum (compensated) round otherwise. sqrt
         # and boundary_fn are monotone, rounding included: f(max) = max f.
-        e_sqs, func_errs, x_sqs, temps, theta_sqs = steps[:i + 1].T
+        e_sqs, func_errs, x_sqs, temps, theta_sqs, clips = steps[:i + 1].T
         t_done = times[:i + 1]
+        # Row r logs state r * stride and counts the clips since row r - 1.
+        last = i - i % stride  # the last logged state
+        rows_done[:, 0] = t_done[::stride]
+        rows_done[:, 11] = np.sqrt(e_sqs[::stride])
+        rows_done[:, 12] = np.sqrt(theta_sqs[::stride])
+        rows_done[:, 13] = temps[::stride]
+        rows_done[:, 16] = func_errs[::stride]
+        rows_done[:, 17] = np.add.reduceat(clips[:last + 1], np.r_[0, 1:last + 1:stride])
 
         def temp_mean(lo: float, hi: float) -> float:
             window = temps[(lo <= t_done) & (t_done <= hi)]
@@ -216,7 +224,7 @@ def run(
             sup_error_norm=math.sqrt(e_sqs.max()),
             temp_mean_early=temp_mean(*EARLY_WINDOW),
             temp_mean_late=temp_mean(*LATE_WINDOW),
-            clip_count=clip_count,
+            clip_count=int(np.count_nonzero(steps[:, 5])),
             max_boundary_value=float(ball.boundary_fn(theta_sqs.max())),
             final_theta=theta.copy(),
         )
@@ -225,7 +233,6 @@ def run(
         k = i % _DESIRED_BLOCK
         if k == 0:
             xd_block, rate_block = desired(times[i:i + _DESIRED_BLOCK])
-        t = float(times[i])
         xd, xd_rate = xd_block[:, k], rate_block[:, k]
 
         # Per-state quantities, logged and used by the step.
@@ -239,23 +246,15 @@ def run(
         f_val = plant_drift(x)
         func_gap = f_val - phi
         func_err = math.sqrt(func_gap.dot(func_gap))
-        steps[i] = e_sq, func_err, x_sq, temp, theta_sq
+        steps[i, :5] = e_sq, func_err, x_sq, temp, theta_sq
 
         if i % stride == 0:
-            out = rows[row]
-            out[0] = t
+            out = rows[i // stride]
             out[1:6] = x
             out[6:11] = e
-            out[11] = math.sqrt(e_sq)
-            out[12] = math.sqrt(theta_sq)
-            out[13] = temp
             out[14] = intensity
             np.subtract(theta_ref, theta, out=theta_err)
             out[15] = lyapunov_value(e_sq, float(theta_err.dot(theta_err)), lr)
-            out[16] = func_err
-            out[17] = clips_since_row
-            clips_since_row = 0
-            row += 1
 
         if i == n_steps:
             return _build_log(rows)
@@ -279,17 +278,17 @@ def run(
         theta_sq = float(theta_next.dot(theta_next))
         if not ball.is_within_shell(theta_sq):
             theta_new, _ = ball.clip(theta_next, theta_sq)
-            clip_count += 1
-            clips_since_row += 1
+            steps[i + 1, 5] = 1.0
             theta_sq = float(theta_new.dot(theta_new))
         # After the clip |theta|^2 is finite exactly when every entry is; |x|^2
         # can also overflow on finite entries. Either way the run ends here.
         x_sq = float(x_new.dot(x_new))
         if not (math.isfinite(x_sq) and math.isfinite(theta_sq)):
             message = _divergence_message(
-                i + 1, t + dt, x_new, x_sq, theta_new, theta_sq, steps[i, 2], steps[i, 4]
+                i + 1, times[i + 1], x_new, x_sq, theta_new, theta_sq, steps[i, 2], steps[i, 4]
             )
-            raise DivergenceError(message, i + 1, t + dt, _build_log(rows[:row].copy()))
+            partial = _build_log(rows[:i // stride + 1].copy())
+            raise DivergenceError(message, i + 1, times[i + 1], partial)
         # The old weights' array takes the next step's weights.
         theta_next = theta
         x = x_new

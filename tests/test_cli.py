@@ -279,6 +279,12 @@ def test_summary_jsonl_parses(experiment_out):
     assert [r["scenario"] for r in records] == list(config.scenarios)
 
 
+def test_summary_unknown_format_rejected(experiment_out):
+    _, rows, _, _ = experiment_out
+    with pytest.raises(ValueError, match="unknown summary format 'tsv'"):
+        print_summary(rows, "tsv")
+
+
 def test_single_scenario_single_row(experiment_out):
     _, _, results, _ = experiment_out
     (only_s2,) = build_summary([r for r in results if r.scenario == "S2"])
@@ -735,14 +741,30 @@ def test_run_and_summarize_cli(tmp_path, capsys):
     assert csv_text.splitlines()[0].startswith("scenario,")
 
 
+# a runs.jsonl record as run_experiment writes it, and its text with and without rms_error
+_RECORD = cli._record(RunResult(
+    scenario="S1", seed=0, diverged=False, error=None, rms_error=0.1, rms_func_err=1.0,
+    off_traj_rms=1.0, clip_count=0, sup_state_norm=1.0, sup_error_norm=1.0,
+    temp_mean_early=1.0, temp_mean_late=np.nan, max_boundary_value=-1.0,
+))
+_FIRST = json.dumps(_RECORD)
+_NO_RMS = json.dumps({k: v for k, v in _RECORD.items() if k != "rms_error"})
+
+
 @pytest.mark.parametrize("text, reason", [
     ("", "holds no records"),
     ("\n \n", "holds no records"),
     ("null\n", "not a JSON object: None"),
     ("[1, 2]\n", "not a JSON object: [1, 2]"),
-], ids=["empty", "blank", "null", "list"])
+    (f"{_FIRST}\n{_FIRST[:-5]}\n",
+     f"runs.jsonl line 2: Expecting value at column {len(_FIRST) - 4}\n"),
+    (f"{_FIRST}\nnull\n", "runs.jsonl line 2: not a JSON object: None\n"),
+    (f"{_FIRST}\n{_NO_RMS}\n", "runs.jsonl line 2: field 'rms_error' is missing\n"),
+    (f'{_FIRST}\n{{"scenario": "S\u00e9"}}\n', "runs.jsonl line 2: 'ascii' codec can't decode "
+     "byte 0xc3 in position 15: ordinal not in range(128)\n"),
+], ids=["empty", "blank", "null", "list", "cut-line", "null-line", "missing-field", "non-ascii"])
 def test_summarize_broken_runs_file_exit_2(tmp_path, capsys, text, reason):
-    (tmp_path / "runs.jsonl").write_text(text)
+    (tmp_path / "runs.jsonl").write_text(text, encoding="utf-8")
     assert main(["summarize", "--in", str(tmp_path)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -759,12 +781,7 @@ def test_summarize_broken_runs_file_exit_2(tmp_path, capsys, text, reason):
     ("clip_count", True, "an integer"),
 ], ids=["rms_error", "scenario", "diverged", "seed", "clip_count"])
 def test_summarize_mistyped_field_exit_2(tmp_path, capsys, field, value, expected):
-    record = cli._record(RunResult(
-        scenario="S1", seed=0, diverged=False, error=None, rms_error=0.1, rms_func_err=1.0,
-        off_traj_rms=1.0, clip_count=0, sup_state_norm=1.0, sup_error_norm=1.0,
-        temp_mean_early=1.0, temp_mean_late=np.nan, max_boundary_value=-1.0,
-    ))
-    lines = [json.dumps(record), json.dumps({**record, "seed": 1, field: value})]
+    lines = [_FIRST, json.dumps({**_RECORD, "seed": 1, field: value})]
     (tmp_path / "runs.jsonl").write_text("\n".join(lines) + "\n")
     assert main(["summarize", "--in", str(tmp_path)]) == 2
     captured = capsys.readouterr()
@@ -776,7 +793,7 @@ def test_summarize_mistyped_field_exit_2(tmp_path, capsys, field, value, expecte
     # the unedited record reads back field for field
     (tmp_path / "runs.jsonl").write_text(lines[0] + "\n")
     (loaded,) = cli.load_results(tmp_path)
-    assert cli._record(loaded) == record
+    assert cli._record(loaded) == _RECORD
 
 
 def test_summarize_keeps_sweep_scenario_order(tmp_path, capsys):

@@ -126,3 +126,19 @@ def test_constants_validation():
         make_constants(level=0.0)
     with pytest.raises(ValueError):
         make_constants(learning_rate=0.0)
+    with pytest.raises(ValueError, match="xd_bound must be nonnegative"):
+        make_constants(xd_bound=-1.0)
+    constants = make_constants()
+    with pytest.raises(ValueError, match="rho is defined for s >= 0"):
+        constants.rho(-1.0)
+    with pytest.raises(ValueError, match="rho_inverse is defined for y >= 0"):
+        constants.rho_inverse(-1.0)
+    # with unit coefficients rho(1e12) is about 1e36, so no bracket reaches 1e40
+    with pytest.raises(ValueError, match="bracket expansion failed"):
+        constants.rho_inverse(1e40)
+    with pytest.raises(ValueError, match="initial energy must be nonnegative"):
+        escape_risk(constants, -1.0, 1.0)
+    with pytest.raises(ValueError, match="time must be nonnegative"):
+        escape_risk(constants, 0.0, -1.0)
+    with pytest.raises(ValueError, match="escape risk needs b1 > 0"):
+        escape_risk(make_constants(b1=0.0), 0.0, 1.0)

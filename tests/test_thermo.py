@@ -253,6 +253,8 @@ def test_gains_validation():
         Gains(control_gain=0.0, weight_count=10)
     with pytest.raises(ValueError):
         Gains(learning_rate=-0.1, weight_count=10)
+    with pytest.raises(ValueError, match="forgetting_factor must be positive"):
+        Gains(forgetting_factor=0.0, weight_count=10)
     with pytest.raises(ValueError):
         Gains(weight_count=0)
     with pytest.raises(TypeError):
